@@ -7,23 +7,51 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace malec::binio {
 
+// Little-endian hosts move whole words (one unaligned load or store); any
+// other host, or a compiler that does not say, takes the byte loops, which
+// are correct everywhere.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+inline constexpr bool kLittleEndianHost = true;
+#else
+inline constexpr bool kLittleEndianHost = false;
+#endif
+
 inline void put64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 inline void put32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 inline std::uint64_t get64(const std::uint8_t* p) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
   return v;
 }
 inline std::uint32_t get32(const std::uint8_t* p) {
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (int i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  }
   return v;
 }
 

@@ -127,26 +127,33 @@ void InputBuffer::defer(std::size_t index, Cycle until) {
 }
 
 void InputBuffer::remove(const std::vector<std::size_t>& indices) {
-  std::vector<std::size_t> sorted = indices;
-  std::sort(sorted.begin(), sorted.end());
-  MALEC_DCHECK(std::adjacent_find(sorted.begin(), sorted.end()) ==
-               sorted.end());
-  // Erase descending so lower indices stay valid; relative order of the
-  // survivors is preserved (invariant 1 depends on it).
-  for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
-    const std::size_t i = *it;
-    MALEC_CHECK(i < ops_.size());
-    ops_.erase(ops_.begin() + static_cast<std::ptrdiff_t>(i));
-    not_before_.erase(not_before_.begin() + static_cast<std::ptrdiff_t>(i));
-    arrival_.erase(arrival_.begin() + static_cast<std::ptrdiff_t>(i));
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
-    page_.erase(page_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (i == mbe_pos_) {
-      mbe_pos_ = kNoMbe;
-    } else if (mbe_pos_ != kNoMbe && i < mbe_pos_) {
-      --mbe_pos_;
+  // One in-place compaction pass: survivors slide down over the removed
+  // slots in index order, so their relative order is preserved (invariant
+  // 1 depends on it). The buffer and a group are a handful of entries, so
+  // a linear membership test beats sorting a copy of `indices`.
+  std::size_t kept = 0;
+  std::size_t mbe = kNoMbe;
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    if (std::find(indices.begin(), indices.end(), i) != indices.end())
+      continue;
+    if (i == mbe_pos_) mbe = kept;
+    if (kept != i) {
+      ops_[kept] = ops_[i];
+      not_before_[kept] = not_before_[i];
+      arrival_[kept] = arrival_[i];
+      order_[kept] = order_[i];
+      page_[kept] = page_[i];
     }
+    ++kept;
   }
+  // Every index named an entry, and none twice.
+  MALEC_CHECK(ops_.size() - kept == indices.size());
+  ops_.resize(kept);
+  not_before_.resize(kept);
+  arrival_.resize(kept);
+  order_.resize(kept);
+  page_.resize(kept);
+  mbe_pos_ = mbe;
 }
 
 void InputBuffer::saveState(ckpt::StateWriter& w) const {

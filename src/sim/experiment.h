@@ -49,8 +49,8 @@ struct RunConfig {
   /// Sampled replay only: warmup-state cache. The first run of a (trace,
   /// plan, config, seed) combination writes every pick's
   /// measurement-entry state to this file; later identical runs restore
-  /// those states and skip all fast-forward decoding and warmup
-  /// simulation — same RunOutput, bit for bit. Empty = derive a keyed
+  /// those states and skip every fast-forward and warmup simulation —
+  /// same RunOutput, bit for bit. Empty = derive a keyed
   /// path under MALEC_CKPT_WARMUP_DIR when that is set, else off.
   std::string warmup_ckpt;
 };

@@ -29,12 +29,6 @@ void putU32(std::vector<std::uint8_t>& v, std::uint32_t x) {
   put32(v.data() + at, x);
 }
 
-void putU64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 8);
-  put64(v.data() + at, x);
-}
-
 void putStr(std::vector<std::uint8_t>& v, const std::string& s) {
   putU32(v, static_cast<std::uint32_t>(s.size()));
   v.insert(v.end(), s.begin(), s.end());
@@ -257,18 +251,22 @@ bool JournalWriter::reopen(const std::string& path, std::uint64_t valid_bytes,
 void JournalWriter::append(RecordType type,
                            const std::vector<std::uint8_t>& payload) {
   MALEC_CHECK_MSG(f_ != nullptr, "journal writer is not open");
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameBytes + payload.size());
-  frame.push_back(static_cast<std::uint8_t>(type));
-  putU32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  putU64(frame,
-         binio::fnv1a(binio::kFnvOffset, frame.data(), frame.size()));
+  // Frame = type + length header, the payload as is, then the FNV-1a of
+  // header and payload — written in three pieces, without copying the
+  // payload into a frame buffer.
+  std::uint8_t head[5];
+  head[0] = static_cast<std::uint8_t>(type);
+  put32(head + 1, static_cast<std::uint32_t>(payload.size()));
+  std::uint8_t tail[8];
+  put64(tail, binio::fnv1a(binio::fnv1a(binio::kFnvOffset, head, sizeof head),
+                           payload.data(), payload.size()));
   // Append + flush + fsync: the record is durable before the coordinator
   // acts on it. A failed append is fatal — simulating on without it would
   // make the journal silently lie about what survives a crash.
   const bool ok =
-      std::fwrite(frame.data(), 1, frame.size(), f_) == frame.size() &&
+      std::fwrite(head, 1, sizeof head, f_) == sizeof head &&
+      std::fwrite(payload.data(), 1, payload.size(), f_) == payload.size() &&
+      std::fwrite(tail, 1, sizeof tail, f_) == sizeof tail &&
       std::fflush(f_) == 0 && ::fsync(::fileno(f_)) == 0;
   if (!ok) {
     const std::string msg =
@@ -276,7 +274,7 @@ void JournalWriter::append(RecordType type,
         "sweep rather than running without crash-safety";
     MALEC_CHECK_MSG(false, msg.c_str());
   }
-  bytes_ += frame.size();
+  bytes_ += kFrameBytes + payload.size();
 }
 
 void JournalWriter::grant(std::uint32_t task, std::uint32_t attempt) {

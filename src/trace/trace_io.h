@@ -10,7 +10,9 @@
 // Both ends move data in multi-record blocks (not one 26-byte stdio call
 // per record), and the reader validates the header record count against the
 // actual file size at open — a truncated file is a hard error, never a
-// silently shorter stream.
+// silently shorter stream. The reader verifies the payload (record
+// validation + v2 checksum) on a background thread of its own, so the
+// simulation thread only decodes.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +73,17 @@ class TraceWriter {
 /// mismatch) next() keeps returning false and reset() will NOT resurrect
 /// the stream — callers must check ok() after draining, or a partial trace
 /// would silently masquerade as a short one.
+///
+/// Verification runs on one verifier thread per reader, started on the
+/// first data access (opening a file and reading its header spawn
+/// nothing). It streams the payload in blocks from the reader's position,
+/// validates every record's kind and size bytes and folds the v2 checksum,
+/// running at most a bounded distance ahead of the reader. next() only
+/// checks and decodes the record it serves; the calls that need verified
+/// bytes — end-of-stream, skip(), runningChecksum(), finishChecksum() —
+/// wait for the verifier, and report every failure at the same call and
+/// record a purely sequential reader would. seekTo() and reset() restart
+/// the verifier from the new position.
 class TraceReader final : public TraceSource {
  public:
   explicit TraceReader(const std::string& path);
@@ -80,19 +93,25 @@ class TraceReader final : public TraceSource {
 
   bool next(InstrRecord& out) override;
   void reset() override;
+  /// Advance past the next `n` records without decoding them. Same effect
+  /// as `n` calls of next(): the same validation, and the same error at the
+  /// same record. Waits until the skipped range is verified. Returns false
+  /// if the stream ends or fails before `n` records were skipped.
+  bool skip(std::uint64_t n);
   /// Verify the v2 record checksum even when the stream was NOT drained to
-  /// the end (a capped replay): hashes the unread remainder of the file and
-  /// compares. Leaves the reader at end-of-stream (reset() to replay); a
-  /// mismatch is a sticky failure like any other. No-op for v1 files and
-  /// fully-drained streams (next() already verified those). Returns ok().
+  /// the end (a capped replay): waits until the verifier has covered the
+  /// unread remainder of the file, then compares. Leaves the reader at
+  /// end-of-stream (reset() to replay); a mismatch, or an invalid record in
+  /// the unread remainder, is a sticky failure like any other. No-op for
+  /// v1 files and fully-drained streams (next() already verified those).
+  /// Returns ok().
   bool finishChecksum();
   /// Records served so far — the stream position a checkpoint stores.
   [[nodiscard]] std::uint64_t consumed() const { return read_; }
-  /// Running FNV-1a over the served records (v2) — stored alongside the
-  /// position so a restored reader can still verify the whole file.
-  [[nodiscard]] std::uint64_t runningChecksum() const {
-    return checksum_run_;
-  }
+  /// Running FNV-1a over the records before consumed() (v2) — stored
+  /// alongside the position so a restored reader can still verify the
+  /// whole file. Waits for the verifier; meaningless once ok() is false.
+  [[nodiscard]] std::uint64_t runningChecksum();
   /// Reposition to record `n` with the running checksum as of that point
   /// (both from a checkpoint of this exact file). The caller is
   /// responsible for the binding check (record count + header checksum);
@@ -115,23 +134,41 @@ class TraceReader final : public TraceSource {
   }
 
  private:
-  void fail(std::string msg);
-  bool refill();
+  class Verifier;
 
-  std::FILE* f_ = nullptr;
+  void fail(std::string msg);
+  /// The verifier, started from (origin_, origin_sum_) on first use.
+  Verifier& verifier();
+  /// Read the verifier-aligned block holding record read_ into buf_.
+  bool loadBlock();
+  /// Wait until records [origin_, n) are verified (starting the verifier
+  /// if needed); fails the reader if the verifier could not get there.
+  bool awaitVerified(std::uint64_t n);
+  /// End-of-stream check (v2): the whole payload against the header
+  /// checksum, then against the record validation.
+  bool verifyEnd();
+  void restartAt(std::uint64_t n, std::uint64_t checksum_run);
+
+  int fd_ = -1;
   bool ok_ = false;
   std::string error_;
   std::string path_;
   std::uint32_t version_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t read_ = 0;
-  long header_bytes_ = 0;
+  std::uint64_t header_bytes_ = 0;
   bool has_layout_ = false;
   AddressLayout::Params layout_params_{};
   std::uint64_t checksum_expect_ = 0;
-  std::uint64_t checksum_run_ = 0;
+  /// Where verification (re)starts, and the running checksum there; the
+  /// verifier's blocks, and so buf_'s, are aligned to origin_.
+  std::uint64_t origin_ = 0;
+  std::uint64_t origin_sum_ = 0;
+  /// Records [buf_first_, buf_end_) of the file, decoded by next().
   std::vector<std::uint8_t> buf_;
-  std::size_t buf_pos_ = 0;
+  std::uint64_t buf_first_ = 0;
+  std::uint64_t buf_end_ = 0;
+  std::unique_ptr<Verifier> verifier_;
 };
 
 /// In-memory trace source for tests and small experiments.

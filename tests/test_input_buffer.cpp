@@ -144,6 +144,31 @@ TEST(InputBuffer, OrderContractIndexOrderIsAgeOrder) {
     EXPECT_LT(group[i - 1], group[i]);
 }
 
+TEST(InputBuffer, OrderContractUnsortedRemovalKeepsOrderAndMbe) {
+  // remove() takes a group as group() emits it — head first, MBE last —
+  // not sorted. Survivors keep their age order and the MBE slot follows
+  // its entry (or frees up when the MBE itself is removed).
+  InputBuffer ib = makeIb(/*carry=*/4, /*agu=*/4);
+  ib.addLoad(load(0, kPageA), 0);
+  ib.addLoad(load(1, kPageA + 8), 0);
+  ib.addLoad(load(2, kPageB), 0);
+  ib.addMbe(mbe(kPageB + 64), 0);  // index 3
+  ib.addLoad(load(4, kPageA + 16), 0);
+  ib.addLoad(load(5, kPageB + 8), 0);
+  ib.remove({4, 0});  // MBE shifts down one slot
+  ASSERT_EQ(ib.size(), 4u);
+  const SeqNum expect[] = {1, 2, 0, 5};  // the MBE carries seq 0
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(ib.op(i).seq, expect[i]);
+  EXPECT_TRUE(ib.isMbe(2));
+  EXPECT_FALSE(ib.hasMbeSpace());
+  ib.remove({3, 0, 2});  // unsorted, MBE included
+  ASSERT_EQ(ib.size(), 1u);
+  EXPECT_EQ(ib.op(0).seq, 2u);
+  EXPECT_FALSE(ib.isMbe(0));
+  EXPECT_TRUE(ib.hasMbeSpace());
+  EXPECT_EQ(ib.loadCount(), 1u);
+}
+
 TEST(InputBuffer, OrderContractComparatorBudgetSpentInIndexOrder) {
   // Invariant 3: comparators wire to storage slots in index order and are
   // consumed per valid entry BEFORE the ready check. A deferred (not-ready)
@@ -177,6 +202,14 @@ TEST(InputBufferDeath, LoadOverflowAborts) {
   InputBuffer ib = makeIb(0, 1);
   ib.addLoad(load(1, kPageA), 0);
   EXPECT_DEATH(ib.addLoad(load(2, kPageA), 0), "overflow");
+}
+
+TEST(InputBufferDeath, RemovingAnUnknownOrRepeatedIndexAborts) {
+  InputBuffer ib = makeIb();
+  ib.addLoad(load(1, kPageA), 0);
+  ib.addLoad(load(2, kPageA + 8), 0);
+  EXPECT_DEATH(ib.remove({0, 5}), "indices.size\\(\\)");
+  EXPECT_DEATH(ib.remove({1, 1}), "indices.size\\(\\)");
 }
 
 TEST(InputBufferDeath, SecondMbeAborts) {

@@ -4,6 +4,7 @@
 // or mismatched .mplan sidecars.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -252,6 +253,60 @@ TEST(PhaseSampledDeathTest, WarmupCacheRestoreCatchesWindowCorruption) {
   std::remove(cache.c_str());
   std::remove(phase::planSidecarPath(path).c_str());
   std::remove(path.c_str());
+}
+
+/// A record the cold sampled pass fast-forwards over (never simulated):
+/// the middle of the first gap before a pick's warmup window, found the
+/// way runOneSampled walks the plan. 0 if the plan leaves no such gap.
+std::uint64_t recordInsideAFastForwardGap(const std::string& path) {
+  phase::SamplePlan plan;
+  std::string err;
+  EXPECT_TRUE(loadSamplePlan(phase::planSidecarPath(path), plan, err)) << err;
+  std::uint64_t pos = 0;
+  for (const phase::PhasePick& pick : plan.picks) {
+    const std::uint64_t start = pick.interval_index * plan.interval_size;
+    const std::uint64_t warm =
+        std::min(plan.warmup_instructions, start - std::min(start, pos));
+    if (start - warm > pos + 1) return pos + (start - warm - pos) / 2;
+    pos = std::min(start + plan.interval_size, plan.trace_records);
+  }
+  return 0;
+}
+
+void flipByte(const std::string& path, long offset, int mask) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, offset, SEEK_SET);
+  const int orig = std::fgetc(f);
+  std::fseek(f, offset, SEEK_SET);
+  std::fputc(orig ^ mask, f);
+  std::fclose(f);
+}
+
+TEST(PhaseSampledDeathTest, CorruptionInAFastForwardGapAbortsTheColdPass) {
+  // The cold pass skips the gaps without decoding them; their records are
+  // still validated and hashed, so a flipped byte there is a hard error:
+  // an address byte fails the whole-file checksum, a kind byte fails at
+  // its record exactly as a decoding reader would.
+  const std::string sum_path =
+      captureWithPlan("gcc", "ffgap_sum.mtrace", 60'000, 5'000, 3, 1'000);
+  const std::uint64_t rec = recordInsideAFastForwardGap(sum_path);
+  ASSERT_GT(rec, 0u) << "the plan must leave a fast-forward gap";
+  flipByte(sum_path, static_cast<long>(52 + rec * 26 + 9), 0xFF);
+  EXPECT_DEATH((void)runOne(sampledConfig(sum_path)),
+               "record checksum mismatch");
+
+  const std::string kind_path =
+      captureWithPlan("gcc", "ffgap_kind.mtrace", 60'000, 5'000, 3, 1'000);
+  ASSERT_EQ(recordInsideAFastForwardGap(kind_path), rec);  // same capture
+  flipByte(kind_path, static_cast<long>(52 + rec * 26 + 16), 0x80);
+  EXPECT_DEATH((void)runOne(sampledConfig(kind_path)),
+               "invalid instruction kind byte [0-9]+ at record " +
+                   std::to_string(rec));
+  for (const std::string& p : {sum_path, kind_path}) {
+    std::remove(phase::planSidecarPath(p).c_str());
+    std::remove(p.c_str());
+  }
 }
 
 TEST(PhaseSampledDeathTest, StaleWarmupCacheAborts) {

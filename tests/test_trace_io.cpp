@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/binio.h"
 #include "trace/synth_generator.h"
 #include "trace/workloads.h"
 
@@ -339,6 +342,238 @@ TEST(TraceIoV2, EmptyTraceIsCleanEof) {
   EXPECT_FALSE(rd.next(r));
   EXPECT_TRUE(rd.ok());  // end of stream, not an error
   EXPECT_TRUE(rd.error().empty());
+  std::remove(path.c_str());
+}
+
+// --- background verifier: skip(), runningChecksum(), thread lifecycle -------
+
+namespace detail {
+
+/// The file's payload bytes (everything after the v2 header).
+std::vector<std::uint8_t> payloadOf(const std::string& path) {
+  std::vector<std::uint8_t> bytes(std::filesystem::file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  bytes.erase(bytes.begin(), bytes.begin() + kHeaderBytesV2);
+  return bytes;
+}
+
+/// FNV-1a over the first `n` records, hashed the plain inline way.
+std::uint64_t inlineSum(const std::vector<std::uint8_t>& payload,
+                        std::uint64_t n) {
+  return binio::fnv1a(binio::kFnvOffset, payload.data(),
+                      static_cast<std::size_t>(n) * kRecordBytes);
+}
+
+/// Threads of this process (Linux); -1 where /proc is unavailable.
+long threadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  long n = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+  return n;
+}
+
+/// Error and position a reader reaches by draining `path` with next().
+std::pair<std::string, std::uint64_t> nextFailure(const std::string& path) {
+  TraceReader rd(path);
+  InstrRecord r;
+  while (rd.next(r)) {
+  }
+  EXPECT_FALSE(rd.ok());
+  return {rd.error(), rd.consumed()};
+}
+
+}  // namespace detail
+
+TEST(TraceIoVerifier, SkipOverBadBytesFailsLikeNext) {
+  // Kind byte (record 5000, second block) and size byte (record 1, first
+  // block): skip() must stop at the same record with the same message as
+  // a next() loop would, whether it crosses the bad record in one call or
+  // lands just before it first.
+  struct Case {
+    const char* name;
+    std::uint64_t record;
+    std::size_t byte;
+    std::uint8_t value;
+  };
+  const Case cases[] = {{"skip_kind.mtrace", 5000, 16, 9},
+                        {"skip_size.mtrace", 1, 17, 0}};
+  for (const Case& c : cases) {
+    const std::string path = tmpPath(c.name);
+    detail::writeTrace(path, 10'000);
+    detail::corruptByte(path,
+                        static_cast<long>(detail::kHeaderBytesV2 +
+                                          c.record * detail::kRecordBytes +
+                                          c.byte),
+                        c.value);
+    const auto [want_error, want_pos] = detail::nextFailure(path);
+    EXPECT_EQ(want_pos, c.record);
+    {
+      TraceReader rd(path);
+      EXPECT_FALSE(rd.skip(10'000));
+      EXPECT_FALSE(rd.ok());
+      EXPECT_EQ(rd.error(), want_error);
+      EXPECT_EQ(rd.consumed(), want_pos);
+    }
+    {
+      TraceReader rd(path);
+      EXPECT_TRUE(rd.skip(c.record));  // up to, not over, the bad record
+      EXPECT_TRUE(rd.ok()) << rd.error();
+      EXPECT_FALSE(rd.skip(1));
+      EXPECT_EQ(rd.error(), want_error);
+      EXPECT_EQ(rd.consumed(), want_pos);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceIoVerifier, SkipToTheEndChecksTheChecksumLikeNext) {
+  const std::string path = tmpPath("skip_sum.mtrace");
+  detail::writeTrace(path, 9000);
+  detail::corruptByte(path,
+                      static_cast<long>(detail::kHeaderBytesV2 +
+                                        8000 * detail::kRecordBytes + 9),
+                      0xAB);
+  const auto [want_error, want_pos] = detail::nextFailure(path);
+  TraceReader rd(path);
+  InstrRecord r;
+  ASSERT_TRUE(rd.next(r));
+  EXPECT_FALSE(rd.skip(9000));
+  EXPECT_EQ(rd.error(), want_error);
+  EXPECT_EQ(rd.consumed(), want_pos);
+  EXPECT_NE(rd.error().find("checksum"), std::string::npos) << rd.error();
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoVerifier, SkipServesTheSameStreamAsNext) {
+  const std::string path = tmpPath("skip_same.mtrace");
+  const std::vector<InstrRecord> recs = detail::writeTrace(path, 9000);
+  TraceReader rd(path);
+  InstrRecord r;
+  EXPECT_TRUE(rd.skip(0));
+  EXPECT_TRUE(rd.skip(4100));  // lands inside the second block
+  ASSERT_TRUE(rd.next(r));
+  EXPECT_EQ(r.seq, recs[4100].seq);
+  EXPECT_EQ(r.vaddr, recs[4100].vaddr);
+  EXPECT_TRUE(rd.skip(3));     // inside the block just read
+  ASSERT_TRUE(rd.next(r));
+  EXPECT_EQ(r.seq, 4104u);
+  EXPECT_FALSE(rd.skip(100'000));  // runs out: false, but not an error
+  EXPECT_TRUE(rd.ok()) << rd.error();
+  EXPECT_EQ(rd.consumed(), 9000u);
+  EXPECT_FALSE(rd.next(r));
+  rd.reset();
+  EXPECT_EQ(drain(rd).size(), 9000u);
+  EXPECT_TRUE(rd.ok());
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoVerifier, RunningChecksumMatchesInlineFnv) {
+  const std::string path = tmpPath("runsum.mtrace");
+  detail::writeTrace(path, 10'000);
+  const std::vector<std::uint8_t> payload = detail::payloadOf(path);
+  TraceReader rd(path);
+  InstrRecord r;
+  // Block edges (4096 records) by next(), then positions reached by skip()
+  // alone, whose block the reader has not loaded yet.
+  for (const std::uint64_t at : {0u, 4095u, 4096u, 4097u}) {
+    while (rd.consumed() < at) ASSERT_TRUE(rd.next(r));
+    EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, at)) << at;
+  }
+  for (const std::uint64_t at : {8191u, 8192u, 9999u, 10'000u}) {
+    ASSERT_TRUE(rd.skip(at - rd.consumed()));
+    EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, at)) << at;
+  }
+  EXPECT_TRUE(rd.ok()) << rd.error();
+  // After seekTo the verifier restarts from (n, sum): its blocks now start
+  // at n, and the running value continues from the given sum.
+  ASSERT_TRUE(rd.seekTo(5000, detail::inlineSum(payload, 5000)));
+  EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, 5000));
+  for (const std::uint64_t at : {5001u, 9095u, 9096u, 9097u}) {
+    while (rd.consumed() < at) ASSERT_TRUE(rd.next(r));
+    EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, at)) << at;
+  }
+  while (rd.next(r)) {
+  }
+  EXPECT_TRUE(rd.ok()) << rd.error();  // end-of-stream check passed
+  EXPECT_EQ(rd.runningChecksum(), rd.expectedChecksum());
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoVerifier, FinishChecksumRejectsAnInvalidRecordBeyondACap) {
+  // A crafted file: the checksum matches, but an unread record carries a
+  // kind byte no producer emits. The capped replay never decodes it; the
+  // verifier still refuses it.
+  const std::string path = tmpPath("crafted.mtrace");
+  {
+    TraceWriter w(path);
+    for (std::uint64_t i = 0; i < 50; ++i) {
+      InstrRecord r;
+      r.seq = i;
+      r.kind = i == 40 ? static_cast<InstrKind>(7) : InstrKind::kOther;
+      w.write(r);
+    }
+    ASSERT_TRUE(w.close());
+  }
+  TraceReader rd(path);
+  InstrRecord r;
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(rd.next(r));
+  EXPECT_FALSE(rd.finishChecksum());
+  EXPECT_NE(rd.error().find("invalid instruction kind byte 7 at record 40"),
+            std::string::npos)
+      << rd.error();
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoVerifier, HeaderOnlyOpenSpawnsNoThread) {
+  const std::string path = tmpPath("nothread.mtrace");
+  detail::writeTrace(path, 100);
+  const long before = detail::threadCount();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  TraceReader rd(path);
+  ASSERT_TRUE(rd.ok());
+  EXPECT_EQ(rd.total(), 100u);
+  EXPECT_EQ(detail::threadCount(), before);
+  InstrRecord r;
+  ASSERT_TRUE(rd.next(r));  // first data access starts the verifier
+  EXPECT_EQ(detail::threadCount(), before + 1);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoVerifier, DestroyingAReaderMidStreamJoinsCleanly) {
+  // Big enough (about 8 MB) that the verifier is still busy when the
+  // reader goes away — mid-stream, after a seekTo, and straight after a
+  // restart that never got to run.
+  const std::string path = tmpPath("midstream.mtrace");
+  detail::writeTrace(path, 300'000);
+  const long before = detail::threadCount();
+  InstrRecord r;
+  for (int round = 0; round < 3; ++round) {
+    {
+      TraceReader rd(path);
+      for (int i = 0; i < 10; ++i) ASSERT_TRUE(rd.next(r));
+    }
+    {
+      TraceReader rd(path);
+      ASSERT_TRUE(rd.skip(1000));
+      ASSERT_TRUE(rd.seekTo(200'000, 0));  // the sum is never compared
+      ASSERT_TRUE(rd.next(r));
+      EXPECT_EQ(r.seq, 200'000u);
+    }
+    {
+      TraceReader rd(path);
+      ASSERT_TRUE(rd.next(r));
+      rd.reset();
+      ASSERT_TRUE(rd.seekTo(5, 0));
+    }
+  }
+  if (before >= 0) {
+    EXPECT_EQ(detail::threadCount(), before);
+  }
   std::remove(path.c_str());
 }
 

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <sstream>
 
-#include "core/event_queue.h"
 #include "cpu/core_model.h"
 #include "core/mem_interface.h"
 
@@ -17,20 +16,6 @@ void diffField(std::ostringstream& out, const char* name, const T& a,
   if (a == b) return;
   out << name << ": " << a << " != " << b << "\n";
 }
-
-/// Restores the exec-queue backend active at construction on scope exit,
-/// so a failing diff (or an exception) cannot leak the toggle into later
-/// tests.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(core::execQueueLegacy()) {}
-  ~BackendGuard() { core::setExecQueueLegacy(saved_); }
-  BackendGuard(const BackendGuard&) = delete;
-  BackendGuard& operator=(const BackendGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 }  // namespace
 
@@ -69,30 +54,6 @@ std::string diffOutputs(const RunOutput& a, const RunOutput& b) {
   if (a.energy_detail.toTable() != b.energy_detail.toTable())
     out << "energy_detail.toTable() differs\n";
   return out.str();
-}
-
-std::string diffRuns(const RunConfig& rc) {
-  BackendGuard guard;
-  core::setExecQueueLegacy(true);
-  const RunOutput legacy = runOne(rc);
-  core::setExecQueueLegacy(false);
-  const RunOutput calendar = runOne(rc);
-  return diffOutputs(legacy, calendar);
-}
-
-std::string diffRunsParallel(const std::vector<RunConfig>& rcs,
-                             unsigned jobs) {
-  BackendGuard guard;
-  core::setExecQueueLegacy(true);
-  const std::vector<RunOutput> legacy = runManyParallel(rcs, jobs);
-  core::setExecQueueLegacy(false);
-  const std::vector<RunOutput> calendar = runManyParallel(rcs, jobs);
-  for (std::size_t i = 0; i < rcs.size(); ++i) {
-    const std::string diff = diffOutputs(legacy[i], calendar[i]);
-    if (!diff.empty())
-      return "batch run #" + std::to_string(i) + ":\n" + diff;
-  }
-  return "";
 }
 
 }  // namespace malec::sim

@@ -1,11 +1,7 @@
-// Differential bit-identity harness: run the same configuration under two
-// implementation variants and prove the outputs equal, field for field.
-//
-// The concrete variant pair this PR introduces is the exec-event queue
-// backend (legacy std::priority_queue vs the calendar/bucket queue, toggled
-// via core::setExecQueueLegacy / MALEC_LEGACY_EXEC_QUEUE) — but the
-// comparison half (diffOutputs) is generic and is also what the checkpoint
-// round-trip tests assert with.
+// Field-by-field RunOutput comparison: the assertion behind every
+// bit-identity contract in the tests (checkpoint resume, phase-sampled
+// determinism, golden run fingerprints), naming what differs instead of
+// just failing.
 //
 // The contract matches docs/ARCHITECTURE.md "Checkpoint determinism":
 // "bit-identical" means every RunOutput scalar, every interface and core
@@ -13,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "sim/experiment.h"
 
@@ -25,18 +20,5 @@ namespace malec::sim {
 /// StatSet::toTable(). Returns "" when identical, otherwise a newline-
 /// separated list of the differing fields with both values.
 [[nodiscard]] std::string diffOutputs(const RunOutput& a, const RunOutput& b);
-
-/// Run `rc` once under the legacy heap backend and once under the calendar
-/// queue, and diffOutputs() the results. The backend active on entry is
-/// restored before returning (the toggle only ever flips between runs —
-/// every EventQueue binds its backend at construction).
-[[nodiscard]] std::string diffRuns(const RunConfig& rc);
-
-/// Batched variant: the whole batch goes through runManyParallel under one
-/// backend, then the other — the toggle never flips inside a batch — and
-/// results are diffed pairwise. Returns "" or the first run's differences
-/// prefixed with its batch index.
-[[nodiscard]] std::string diffRunsParallel(const std::vector<RunConfig>& rcs,
-                                           unsigned jobs = 0);
 
 }  // namespace malec::sim

@@ -1,11 +1,11 @@
-// Property/fuzz tests for the hot-loop containers this PR introduces:
+// Property/fuzz tests for the run loop's hot-path containers:
 //
-//  - EventQueue's calendar/bucket backend against the reference
+//  - EventQueue's calendar/bucket queue against the reference
 //    std::priority_queue semantics it replaced — randomized push/drain
 //    schedules (horizons both inside and far beyond the kBuckets=1024
 //    aliasing window), ~10k operations per seed, identical pop order.
-//  - Checkpoint compatibility: both backends serialize byte-identical
-//    files, and a file written by either backend restores into the other.
+//  - Checkpoint compatibility: the queue serializes exactly the bytes the
+//    binary heap it replaced wrote, and restores them in reference order.
 //  - FixedRing against a std::deque reference: push/pop/index fuzz across
 //    wrap boundaries, recycle after drain, exhaustion (full()), and stable
 //    logical indexing (operator[] follows push order).
@@ -38,19 +38,6 @@ std::string tmpPath(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
 
-/// RAII backend pin: EventQueue binds its backend at construction, so each
-/// test sets the toggle before constructing and restores it after.
-class BackendPin {
- public:
-  explicit BackendPin(bool legacy) : saved_(execQueueLegacy()) {
-    setExecQueueLegacy(legacy);
-  }
-  ~BackendPin() { setExecQueueLegacy(saved_); }
-
- private:
-  bool saved_;
-};
-
 /// Drain both the queue under test and the reference heap at `now` and
 /// compare the popped seq order element by element.
 void drainBoth(EventQueue& q, PQ& ref, Cycle now) {
@@ -68,7 +55,6 @@ void drainBoth(EventQueue& q, PQ& ref, Cycle now) {
 /// interleaved with drains as the clock advances by random strides.
 void fuzzAgainstHeap(std::uint64_t seed, std::uint64_t max_ahead,
                      int iterations) {
-  BackendPin pin(/*legacy=*/false);
   EventQueue q;
   PQ ref;
   Rng rng(seed);
@@ -110,7 +96,6 @@ TEST(CalendarQueue, FuzzAliasingHorizon) {
 TEST(CalendarQueue, SameCycleSeqOrder) {
   // Many events on one cycle pop in ascending seq order regardless of
   // push order.
-  BackendPin pin(/*legacy=*/false);
   EventQueue q;
   const std::vector<SeqNum> scrambled{7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
   for (SeqNum s : scrambled) q.push(10, s);
@@ -119,80 +104,59 @@ TEST(CalendarQueue, SameCycleSeqOrder) {
   EXPECT_EQ(got, (std::vector<SeqNum>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-/// Serialize `q` into a single-section file and return the file's bytes.
-std::string saveToFile(const EventQueue& q, const char* name) {
-  const std::string path = tmpPath(name);
+/// Write one "queue" section through `save` into `name` under the test
+/// temp dir; returns the file's bytes.
+template <class Save>
+std::string writeSection(const char* name, Save&& save) {
   ckpt::StateWriter w;
   w.beginSection("queue");
-  q.saveState(w);
+  save(w);
   w.endSection();
   std::string err;
-  EXPECT_TRUE(w.writeTo(path, err)) << err;
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_FALSE(bytes.empty());
-  return bytes;
+  EXPECT_TRUE(w.writeTo(tmpPath(name), err)) << err;
+  std::ifstream in(tmpPath(name), std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
-/// Fill a queue with a deterministic schedule (same for every backend).
-void fillSchedule(EventQueue& q) {
+TEST(CalendarQueue, CheckpointBytesMatchTheHeapFormat) {
+  // `.mckpt` files written before the calendar queue hold the binary
+  // heap's pop order: a u64 count, then ascending (cycle, seq) u64 pairs.
+  // The queue must write exactly those bytes and restore them in
+  // reference order, so old checkpoints keep resuming.
+  EventQueue q;
+  PQ ref;
   Rng rng(99);
-  for (SeqNum s = 0; s < 200; ++s) q.push(rng.below(4096), s);
-}
-
-TEST(CalendarQueue, BothBackendsSerializeIdenticalBytes) {
-  BackendPin legacy_pin(/*legacy=*/true);
-  EventQueue legacy_q;
-  fillSchedule(legacy_q);
-  const std::string legacy_bytes = saveToFile(legacy_q, "eq_legacy.bin");
-
-  setExecQueueLegacy(false);
-  EventQueue calendar_q;
-  fillSchedule(calendar_q);
-  const std::string calendar_bytes =
-      saveToFile(calendar_q, "eq_calendar.bin");
-
-  EXPECT_EQ(legacy_bytes, calendar_bytes);
-  std::remove(tmpPath("eq_legacy.bin").c_str());
-  std::remove(tmpPath("eq_calendar.bin").c_str());
-}
-
-TEST(CalendarQueue, CrossBackendRestore) {
-  // A file written under either backend restores into the other, and the
-  // restored queue drains in the exact order of the original.
-  for (const bool write_legacy : {true, false}) {
-    BackendPin write_pin(write_legacy);
-    EventQueue writer;
-    fillSchedule(writer);
-    const std::string path = tmpPath("eq_cross.bin");
-    ckpt::StateWriter w;
-    w.beginSection("queue");
-    writer.saveState(w);
-    w.endSection();
-    std::string err;
-    ASSERT_TRUE(w.writeTo(path, err)) << err;
-
-    std::vector<std::pair<Cycle, SeqNum>> want;
-    for (Cycle c = 0; c < 4096; ++c)
-      writer.drainReady(c, [&want, c](SeqNum s) { want.emplace_back(c, s); });
-
-    setExecQueueLegacy(!write_legacy);
-    EventQueue reader;
-    ckpt::StateReader r(path);
-    ASSERT_TRUE(r.ok()) << r.error();
-    r.openSection("queue");
-    reader.loadState(r);
-    r.endSection();
-    ASSERT_EQ(reader.size(), want.size());
-    std::vector<std::pair<Cycle, SeqNum>> got;
-    for (Cycle c = 0; c < 4096; ++c)
-      reader.drainReady(c, [&got, c](SeqNum s) { got.emplace_back(c, s); });
-    EXPECT_EQ(got, want)
-        << "restore " << (write_legacy ? "legacy->calendar" : "calendar->legacy")
-        << " diverged";
-    std::remove(path.c_str());
+  for (SeqNum s = 0; s < 200; ++s) {
+    const Cycle cycle = rng.below(4096);
+    q.push(cycle, s);
+    ref.emplace(cycle, s);
   }
+  const std::string heap_bytes =
+      writeSection("eq_heap.bin", [&ref](ckpt::StateWriter& w) {
+        PQ copy = ref;
+        w.u64(copy.size());
+        for (; !copy.empty(); copy.pop()) {
+          w.u64(copy.top().first);
+          w.u64(copy.top().second);
+        }
+      });
+  ASSERT_FALSE(heap_bytes.empty());
+  EXPECT_EQ(writeSection("eq_calendar.bin",
+                         [&q](ckpt::StateWriter& w) { q.saveState(w); }),
+            heap_bytes);
+
+  EventQueue restored;
+  ckpt::StateReader r(tmpPath("eq_heap.bin"));
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("queue");
+  restored.loadState(r);
+  r.endSection();
+  ASSERT_EQ(restored.size(), ref.size());
+  for (Cycle c = 0; c <= 4096; ++c) drainBoth(restored, ref, c);
+  EXPECT_TRUE(restored.empty());
+  std::remove(tmpPath("eq_heap.bin").c_str());
+  std::remove(tmpPath("eq_calendar.bin").c_str());
 }
 
 // --- FixedRing ---------------------------------------------------------------

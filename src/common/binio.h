@@ -1,8 +1,9 @@
-// Little-endian byte codec and FNV-1a checksum shared by every on-disk
-// format (trace v2, sample plans — see docs/FILE_FORMATS.md). One
-// definition keeps the formats' byte order and checksum function in
-// lockstep: .mplan binding validation cross-references the trace v2
-// checksum, so the two files must never diverge on either.
+// Little-endian byte codec and the checksums of the on-disk formats (see
+// docs/FILE_FORMATS.md): FNV-1a, and the trace v3 record fold. One
+// definition keeps the formats' byte order and checksum functions in
+// lockstep: .mplan binding validation and checkpoint source sections
+// cross-reference the trace record checksum, so the trace writer, the
+// trace reader and those files must never diverge on it.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +68,47 @@ inline std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p,
     h *= kFnvPrime;
   }
   return h;
+}
+
+/// Bytes in one encoded trace record (docs/FILE_FORMATS.md, "Record"):
+/// seq, vaddr, kind, size, dep_distance, addr_dep_distance.
+inline constexpr std::size_t kTraceRecordBytes = 8 + 8 + 1 + 1 + 4 + 4;
+
+/// The SplitMix64 finaliser: a bijection that avalanches every input bit.
+/// Pure u64 math — identical on every platform.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Trace v3 record digest: each of the record's little-endian words —
+/// bytes 0-7, 8-15 and 16-23, and the u16 at 24 — times its own odd
+/// constant and avalanched on its own, then the four summed. Each term is a
+/// bijection of its word, so a change confined to one word always changes
+/// the digest; the terms are nonlinear, so no fixed pattern of bit flips
+/// across words cancels out in the sum.
+inline std::uint64_t traceRecordDigest(const std::uint8_t* rec) {
+  const std::uint64_t tail =
+      static_cast<std::uint64_t>(rec[24]) |
+      static_cast<std::uint64_t>(rec[25]) << 8;
+  return mix64(get64(rec) * 0x9e3779b97f4a7c15ull) +
+         mix64(get64(rec + 8) * 0xc2b2ae3d27d4eb4full) +
+         mix64(get64(rec + 16) * 0x165667b19e3779f9ull) +
+         mix64(tail * 0xd6e8feb86659fd93ull);
+}
+
+/// Fold `n` encoded records into a running trace v3 checksum: one xor and
+/// one multiply per record, `s = (s ^ digest(rec)) * kFnvPrime`, from
+/// kFnvOffset. The digests are independent, so they overlap in the CPU.
+inline std::uint64_t foldTraceRecords(std::uint64_t s, const std::uint8_t* p,
+                                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i, p += kTraceRecordBytes)
+    s = (s ^ traceRecordDigest(p)) * kFnvPrime;
+  return s;
 }
 
 }  // namespace malec::binio

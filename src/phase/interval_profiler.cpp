@@ -2,22 +2,12 @@
 
 #include <utility>
 
+#include "common/binio.h"
 #include "common/check.h"
 
 namespace malec::phase {
 
 namespace {
-
-/// SplitMix64-style finaliser, spreading consecutive region ids across the
-/// histogram buckets. Pure u64 math — identical on every platform.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 /// Bucket index for the log2 |stride| histogram: 0 = same address,
 /// otherwise 1 + floor(log2 |delta|), clamped to the last bucket. The
@@ -70,7 +60,8 @@ void IntervalProfiler::observe(const trace::InstrRecord& r) {
     const std::uint64_t region =
         static_cast<std::uint64_t>(layout_.pageId(r.vaddr)) /
         params_.pages_per_region;
-    ++region_hist_[mix64(region) % params_.region_buckets];
+    // binio::mix64 spreads consecutive region ids across the buckets.
+    ++region_hist_[binio::mix64(region) % params_.region_buckets];
   }
   if (in_interval_ >= params_.interval_size) closeInterval();
 }

@@ -14,8 +14,8 @@ SamplePlan buildSamplePlan(const std::string& trace_path,
 
   trace::TraceReader rd(trace_path);
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
-  // Profile under the layout the trace was captured with (v2 headers carry
-  // it); v1 traces fall back to the default Table-II layout.
+  // Profile under the layout the trace was captured with (v2/v3 headers
+  // carry it); v1 traces fall back to the default Table-II layout.
   const AddressLayout layout = rd.hasLayout()
                                    ? AddressLayout(rd.layoutParams())
                                    : AddressLayout{};

@@ -19,8 +19,8 @@ using binio::put64;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kEntryBytes = 16;
 
-/// FNV-1a 64-bit over the entry payload — the same binio::fnv1a as the
-/// trace v2 record checksum, from the offset basis.
+/// FNV-1a 64-bit over the entry payload — binio::fnv1a from the offset
+/// basis, the byte rule the trace v2 record checksum also used.
 std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n) {
   return binio::fnv1a(binio::kFnvOffset, p, n);
 }
@@ -223,11 +223,11 @@ std::string planSidecarPath(const std::string& trace_path) {
 
 bool planBindsTo(const SamplePlan& plan, const trace::TraceReader& rd) {
   if (plan.trace_records != rd.total()) return false;
-  if (rd.version() == trace::kTraceVersion)
+  if (rd.version() != trace::kTraceVersionV1)
     return plan.trace_checksum == rd.expectedChecksum();
   // Checksum-less (v1) trace: it can only be the plan's source if the
   // plan was ALSO computed from a checksum-less trace — a nonzero stored
-  // checksum proves a v2 origin, so a count-matching v1 file is a
+  // checksum proves a v2/v3 origin, so a count-matching v1 file is a
   // different capture, not the one the picks were clustered from.
   return plan.trace_checksum == 0;
 }

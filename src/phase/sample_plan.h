@@ -4,11 +4,11 @@
 // replay mode of sim::runOne.
 //
 // On-disk `.mplan` format: see docs/FILE_FORMATS.md for the byte-level
-// specification. Like trace v2 it is strict and versioned: magic + version,
-// a checksum over the entry payload, an entry count validated against the
-// file size at open, and the source trace's record count + checksum so a
-// plan can never be applied to a different (or modified) trace than the one
-// it was computed from.
+// specification. Like the trace format it is strict and versioned: magic +
+// version, a checksum over the entry payload, an entry count validated
+// against the file size at open, and the source trace's record count +
+// checksum so a plan can never be applied to a different (or modified)
+// trace than the one it was computed from.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,7 @@ struct SamplePlan {
   std::uint64_t interval_size = 0;          ///< instructions per interval
   std::uint64_t warmup_instructions = 0;    ///< warmup prefix per pick
   std::uint64_t trace_records = 0;          ///< source trace record count
-  std::uint64_t trace_checksum = 0;         ///< source trace v2 checksum
+  std::uint64_t trace_checksum = 0;         ///< source trace checksum
   std::vector<PhasePick> picks;
 
   [[nodiscard]] bool empty() const { return picks.empty(); }
@@ -80,8 +80,8 @@ bool loadSamplePlan(const std::string& path, SamplePlan& out,
 [[nodiscard]] std::string planSidecarPath(const std::string& trace_path);
 
 /// Does `plan` bind to the trace opened in `rd` — record count always,
-/// payload checksum when the trace format carries one (v2)? THE binding
-/// predicate: the sampled replay's hard check and the phase_sampled
+/// payload checksum when the trace format carries one (v2, v3)? THE
+/// binding predicate: the sampled replay's hard check and the phase_sampled
 /// suite's skip decision both call this, so the two can never drift into
 /// "gate admits what the replay rejects".
 [[nodiscard]] bool planBindsTo(const SamplePlan& plan,

@@ -48,9 +48,9 @@ struct ResolvedSource {
   std::uint64_t instructions = 0;  ///< effective stream length
 };
 
-/// Abort unless the trace's captured AddressLayout (v2 headers) matches the
-/// layout this run simulates — shared by the full-replay and phase-sampled
-/// paths.
+/// Abort unless the trace's captured AddressLayout (v2/v3 headers) matches
+/// the layout this run simulates — shared by the full-replay and
+/// phase-sampled paths.
 void checkReplayLayout(const trace::TraceReader& rd, const RunConfig& rc) {
   if (!rd.hasLayout()) return;
   const auto& p = rd.layoutParams();
@@ -535,7 +535,7 @@ RunOutput runOneSampled(const RunConfig& rc) {
   if (!rd.ok()) MALEC_CHECK_MSG(false, rd.error().c_str());
   checkReplayLayout(rd, rc);
   // The plan binds to one exact trace: record count always, payload
-  // checksum when the trace format carries one (v2).
+  // checksum when the trace format carries one (v2, v3).
   if (!phase::planBindsTo(plan, rd)) {
     const std::string msg =
         "sample plan '" + rc.workload.sample_plan_path +

@@ -111,7 +111,7 @@ struct RunOutput {
     const std::vector<core::InterfaceConfig>& cfgs,
     std::uint64_t instructions, std::uint64_t seed = 1, unsigned jobs = 0);
 
-/// Capture the exact instruction stream `rc` would simulate into a v2
+/// Capture the exact instruction stream `rc` would simulate into a v3
 /// trace file at `path` (header carries rc.system.layout). Replaying the
 /// file through runOne() is bit-identical to running `rc` directly. Aborts
 /// on I/O failure or if `rc` already names a trace. Returns records written.

@@ -752,7 +752,7 @@ ExperimentSpec specTraceReplay() {
 
 /// The skip decision the phase_sampled gate and suite body share: the
 /// capture's sidecar plan must load AND still bind to the capture next to
-/// it (record count + v2 checksum) — a stale plan left behind by a
+/// it (record count + record checksum) — a stale plan left behind by a
 /// re-capture must be skipped with a note, never abort a sweep inside
 /// runOneSampled's own binding check. `out`/`why` are optional.
 bool usableSamplePlan(const trace::WorkloadProfile& wl,

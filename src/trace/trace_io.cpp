@@ -28,7 +28,7 @@ namespace {
 
 /// Fixed-width on-disk record (little-endian, packed manually for
 /// portability — no struct punning).
-constexpr std::size_t kRecordBytes = 8 + 8 + 1 + 1 + 4 + 4;
+constexpr std::size_t kRecordBytes = binio::kTraceRecordBytes;
 
 /// Records staged/read per stdio call. 4096 records = ~104 KiB blocks —
 /// three orders of magnitude fewer libc calls than one fwrite/fread per
@@ -41,7 +41,7 @@ constexpr std::uint64_t kChunkRecords = 512;
 static_assert(kBlockRecords % kChunkRecords == 0);
 
 constexpr std::size_t kHeaderBytesV1 = 16;  // magic, version, count
-constexpr std::size_t kHeaderBytesV2 = 52;  // + checksum, AddressLayout params
+constexpr std::size_t kHeaderBytesV2 = 52;  // v2, v3: + checksum, layout
 constexpr long kCountOffset = 8;
 constexpr std::size_t kNumLayoutParams = 7;
 
@@ -96,6 +96,18 @@ void decode(const std::uint8_t* buf, InstrRecord& r) {
   r.size = buf[17];
   r.dep_distance = get32(buf + 18);
   r.addr_dep_distance = get32(buf + 22);
+}
+
+/// Fold records [p, p + n records) into the running checksum `s` by the rule
+/// of trace format `version`: v3 folds one digest per record, v2 runs FNV-1a
+/// over the bytes, v1 carries no checksum. The one place the reader tells
+/// the versions' checksums apart.
+std::uint64_t foldRecords(std::uint32_t version, std::uint64_t s,
+                          const std::uint8_t* p, std::uint64_t n) {
+  const auto count = static_cast<std::size_t>(n);
+  if (version == kTraceVersion) return binio::foldTraceRecords(s, p, count);
+  if (version == kTraceVersionV2) return fnv1a(s, p, count * kRecordBytes);
+  return s;
 }
 
 /// pread() exactly `n` bytes at `off`; false on I/O error or end of file.
@@ -165,7 +177,7 @@ void TraceWriter::write(const InstrRecord& r) {
   const std::size_t at = buf_.size();
   buf_.resize(at + kRecordBytes);
   encode(r, buf_.data() + at);
-  checksum_ = fnv1a(checksum_, buf_.data() + at, kRecordBytes);
+  checksum_ = binio::foldTraceRecords(checksum_, buf_.data() + at, 1);
   ++count_;
   if (buf_.size() >= kBlockBytes) flushBlock();
 }
@@ -194,17 +206,18 @@ bool TraceWriter::close() {
 // --- TraceReader::Verifier --------------------------------------------------
 
 /// The background half of a TraceReader: streams records [origin, total)
-/// through its own chunk buffer, validates each record, folds the v2
-/// checksum and publishes the running checksum at every block boundary.
-/// The file descriptor is shared read-only (pread never moves an offset).
-/// Everything the thread needs is allocated here, on the reader's thread.
+/// through its own chunk buffer, validates each record, folds the record
+/// checksum (foldRecords) and publishes the running checksum at every block
+/// boundary. The file descriptor is shared read-only (pread never moves an
+/// offset). Everything the thread needs is allocated here, on the reader's
+/// thread.
 class TraceReader::Verifier {
  public:
-  Verifier(int fd, std::uint64_t header_bytes, bool hash, std::uint64_t total,
-           std::uint64_t origin, std::uint64_t origin_sum)
+  Verifier(int fd, std::uint64_t header_bytes, std::uint32_t version,
+           std::uint64_t total, std::uint64_t origin, std::uint64_t origin_sum)
       : fd_(fd),
         header_bytes_(header_bytes),
-        hash_(hash),
+        version_(version),
         total_(total),
         origin_(origin),
         origin_sum_(origin_sum),
@@ -295,7 +308,7 @@ class TraceReader::Verifier {
           bad = at + i;
           std::memcpy(bad_record, rec, kRecordBytes);
         }
-        if (hash_) sum = fnv1a(sum, chunk_.data(), bytes);
+        sum = foldRecords(version_, sum, chunk_.data(), n);
       }
       lk.lock();
       if (bad != kNoRecord && bad_at_ == kNoRecord) {
@@ -311,7 +324,7 @@ class TraceReader::Verifier {
 
   const int fd_;
   const std::uint64_t header_bytes_;
-  const bool hash_;
+  const std::uint32_t version_;
   const std::uint64_t total_;
   const std::uint64_t origin_;
   const std::uint64_t origin_sum_;
@@ -349,17 +362,19 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     return;
   }
   version_ = get32(hdr + 4);
-  if (version_ != kTraceVersionV1 && version_ != kTraceVersion) {
+  if (version_ != kTraceVersionV1 && version_ != kTraceVersionV2 &&
+      version_ != kTraceVersion) {
     error_ = "'" + path + "' has unsupported trace version " +
              std::to_string(version_);
     return;
   }
   total_ = get64(hdr + 8);
   header_bytes_ = version_ == kTraceVersionV1 ? kHeaderBytesV1 : kHeaderBytesV2;
-  if (version_ == kTraceVersion) {
+  if (hasChecksum()) {
     if (!readAt(fd_, hdr + kHeaderBytesV1, kHeaderBytesV2 - kHeaderBytesV1,
                 kHeaderBytesV1)) {
-      error_ = "'" + path + "' is truncated inside the v2 header";
+      error_ = "'" + path + "' is truncated inside the v" +
+               std::to_string(version_) + " header";
       return;
     }
     checksum_expect_ = get64(hdr + 16);
@@ -412,9 +427,8 @@ void TraceReader::fail(std::string msg) {
 
 TraceReader::Verifier& TraceReader::verifier() {
   if (!verifier_)
-    verifier_ = std::make_unique<Verifier>(fd_, header_bytes_,
-                                           version_ == kTraceVersion, total_,
-                                           origin_, origin_sum_);
+    verifier_ = std::make_unique<Verifier>(fd_, header_bytes_, version_,
+                                           total_, origin_, origin_sum_);
   return *verifier_;
 }
 
@@ -467,7 +481,7 @@ bool TraceReader::next(InstrRecord& out) {
   }
   decode(rec, out);
   ++read_;
-  if (read_ == total_ && version_ == kTraceVersion && !verifyEnd())
+  if (read_ == total_ && hasChecksum() && !verifyEnd())
     return false;
   return true;
 }
@@ -487,13 +501,13 @@ bool TraceReader::skip(std::uint64_t n) {
   }
   const bool all = target - read_ == n;
   read_ = target;
-  if (read_ == total_ && version_ == kTraceVersion && !verifyEnd())
+  if (read_ == total_ && hasChecksum() && !verifyEnd())
     return false;
   return all;
 }
 
 std::uint64_t TraceReader::runningChecksum() {
-  if (!ok_ || version_ != kTraceVersion || read_ == origin_)
+  if (!ok_ || !hasChecksum() || read_ == origin_)
     return origin_sum_;
   // The verifier publishes the checksum at its block boundaries; fold the
   // records between the last boundary and read_ from buf_, which holds
@@ -505,12 +519,11 @@ std::uint64_t TraceReader::runningChecksum() {
   if (read_ == first) return sum;
   if ((buf_first_ != first || buf_end_ <= first) && !loadBlock())
     return origin_sum_;
-  return fnv1a(sum, buf_.data(),
-               static_cast<std::size_t>(read_ - first) * kRecordBytes);
+  return foldRecords(version_, sum, buf_.data(), read_ - first);
 }
 
 bool TraceReader::finishChecksum() {
-  if (!ok_ || version_ != kTraceVersion || read_ >= total_) return ok_;
+  if (!ok_ || !hasChecksum() || read_ >= total_) return ok_;
   read_ = total_;  // now at end-of-stream: next() is false, reset() replays
   return verifyEnd();
 }

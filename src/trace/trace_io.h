@@ -3,7 +3,7 @@
 // Lets users capture a synthetic stream once and replay it (or bring their
 // own traces from a real simulator) — the on-disk format is a fixed-width
 // little-endian record stream with a small header. The byte-level format
-// specification (v1/v2 header layouts, the 26-byte record, checksum and
+// specification (v1/v2/v3 header layouts, the 26-byte record, checksum and
 // compatibility rules) lives in docs/FILE_FORMATS.md; this header only
 // documents the API behaviour.
 //
@@ -11,7 +11,7 @@
 // per record), and the reader validates the header record count against the
 // actual file size at open — a truncated file is a hard error, never a
 // silently shorter stream. The reader verifies the payload (record
-// validation + v2 checksum) on a background thread of its own, so the
+// validation + record checksum) on a background thread of its own, so the
 // simulation thread only decodes.
 #pragma once
 
@@ -28,11 +28,13 @@ namespace malec::trace {
 
 /// Magic bytes + version identifying a MALEC trace file.
 inline constexpr std::uint32_t kTraceMagic = 0x4D414C43;  // "MALC"
-/// Version written by TraceWriter; TraceReader also accepts v1.
-inline constexpr std::uint32_t kTraceVersion = 2;
+/// Version written by TraceWriter; TraceReader also accepts v1 (no
+/// checksum) and v2 (byte-serial FNV-1a checksum).
+inline constexpr std::uint32_t kTraceVersion = 3;
+inline constexpr std::uint32_t kTraceVersionV2 = 2;
 inline constexpr std::uint32_t kTraceVersionV1 = 1;
 
-/// Writes records to a trace file (always the current v2 format). Throws
+/// Writes records to a trace file (always the current v3 format). Throws
 /// nothing; reports failures via ok()/error(). Records are staged in a
 /// block buffer and written in bulk; the file is finalised (header record
 /// count + checksum patched) on close().
@@ -69,7 +71,7 @@ class TraceWriter {
 /// Streams records back from a trace file; implements TraceSource.
 ///
 /// Failures are sticky: once ok() is false (unreadable/truncated/corrupt
-/// file, record with an out-of-range kind or size byte, v2 checksum
+/// file, record with an out-of-range kind or size byte, record checksum
 /// mismatch) next() keeps returning false and reset() will NOT resurrect
 /// the stream — callers must check ok() after draining, or a partial trace
 /// would silently masquerade as a short one.
@@ -77,7 +79,7 @@ class TraceWriter {
 /// Verification runs on one verifier thread per reader, started on the
 /// first data access (opening a file and reading its header spawn
 /// nothing). It streams the payload in blocks from the reader's position,
-/// validates every record's kind and size bytes and folds the v2 checksum,
+/// validates every record's kind and size bytes and folds the checksum,
 /// running at most a bounded distance ahead of the reader. next() only
 /// checks and decodes the record it serves; the calls that need verified
 /// bytes — end-of-stream, skip(), runningChecksum(), finishChecksum() —
@@ -98,8 +100,8 @@ class TraceReader final : public TraceSource {
   /// same record. Waits until the skipped range is verified. Returns false
   /// if the stream ends or fails before `n` records were skipped.
   bool skip(std::uint64_t n);
-  /// Verify the v2 record checksum even when the stream was NOT drained to
-  /// the end (a capped replay): waits until the verifier has covered the
+  /// Verify the record checksum even when the stream was NOT drained to the
+  /// end (a capped replay): waits until the verifier has covered the
   /// unread remainder of the file, then compares. Leaves the reader at
   /// end-of-stream (reset() to replay); a mismatch, or an invalid record in
   /// the unread remainder, is a sticky failure like any other. No-op for
@@ -108,7 +110,7 @@ class TraceReader final : public TraceSource {
   bool finishChecksum();
   /// Records served so far — the stream position a checkpoint stores.
   [[nodiscard]] std::uint64_t consumed() const { return read_; }
-  /// Running FNV-1a over the records before consumed() (v2) — stored
+  /// Running record checksum over the records before consumed() — stored
   /// alongside the position so a restored reader can still verify the
   /// whole file. Waits for the verifier; meaningless once ok() is false.
   [[nodiscard]] std::uint64_t runningChecksum();
@@ -125,18 +127,26 @@ class TraceReader final : public TraceSource {
   [[nodiscard]] std::uint64_t expectedChecksum() const {
     return checksum_expect_;
   }
-  /// Format version of the open file (1 or 2; 0 if the open failed).
+  /// Format version of the open file (1, 2 or 3; 0 if the open failed).
   [[nodiscard]] std::uint32_t version() const { return version_; }
-  /// True for v2 files, whose header records the capturing AddressLayout.
+  /// True for v2 and v3 files, whose header records the capturing
+  /// AddressLayout.
   [[nodiscard]] bool hasLayout() const { return has_layout_; }
   [[nodiscard]] const AddressLayout::Params& layoutParams() const {
     return layout_params_;
   }
+  /// Whether this reader has started its verifier since open, seekTo() or
+  /// reset(): false until the first data access after any of them.
+  [[nodiscard]] bool verifierStarted() const { return verifier_ != nullptr; }
 
  private:
   class Verifier;
 
   void fail(std::string msg);
+  /// v2 and v3 files carry a record checksum; v1 files do not.
+  [[nodiscard]] bool hasChecksum() const {
+    return version_ != kTraceVersionV1;
+  }
   /// The verifier, started from (origin_, origin_sum_) on first use.
   Verifier& verifier();
   /// Read the verifier-aligned block holding record read_ into buf_.
@@ -144,7 +154,7 @@ class TraceReader final : public TraceSource {
   /// Wait until records [origin_, n) are verified (starting the verifier
   /// if needed); fails the reader if the verifier could not get there.
   bool awaitVerified(std::uint64_t n);
-  /// End-of-stream check (v2): the whole payload against the header
+  /// End-of-stream check (v2, v3): the whole payload against the header
   /// checksum, then against the record validation.
   bool verifyEnd();
   void restartAt(std::uint64_t n, std::uint64_t checksum_run);

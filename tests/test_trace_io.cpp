@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/binio.h"
+#include "phase/sample_plan.h"
 #include "trace/synth_generator.h"
 #include "trace/workloads.h"
 
@@ -121,18 +124,16 @@ TEST(TraceIo, GeneratorCaptureReplayEquivalence) {
   std::remove(path.c_str());
 }
 
-// --- v2 format, validation and failure-mode regressions ---------------------
+// --- v3 format, validation and failure-mode regressions ---------------------
 
 namespace detail {
 
 constexpr std::size_t kHeaderBytesV2 = 52;
 constexpr std::size_t kRecordBytes = 26;
 
-/// Write `n` deterministic load records to `path`; returns the records.
-std::vector<InstrRecord> writeTrace(const std::string& path, std::uint64_t n) {
+/// `n` deterministic records: other, load, store in turn.
+std::vector<InstrRecord> makeRecords(std::uint64_t n) {
   std::vector<InstrRecord> recs;
-  TraceWriter w(path);
-  EXPECT_TRUE(w.ok());
   for (std::uint64_t i = 0; i < n; ++i) {
     InstrRecord r;
     r.seq = i;
@@ -140,9 +141,23 @@ std::vector<InstrRecord> writeTrace(const std::string& path, std::uint64_t n) {
     r.vaddr = 0x4000 + i * 16;
     r.size = r.isMem() ? 8 : 0;
     recs.push_back(r);
-    w.write(r);
   }
+  return recs;
+}
+
+/// Write `recs` to `path` with TraceWriter (the current format).
+void writeRecords(const std::string& path,
+                  const std::vector<InstrRecord>& recs) {
+  TraceWriter w(path);
+  EXPECT_TRUE(w.ok());
+  for (const InstrRecord& r : recs) w.write(r);
   EXPECT_TRUE(w.close());
+}
+
+/// Write makeRecords(n) to `path`; returns the records.
+std::vector<InstrRecord> writeTrace(const std::string& path, std::uint64_t n) {
+  std::vector<InstrRecord> recs = makeRecords(n);
+  writeRecords(path, recs);
   return recs;
 }
 
@@ -169,8 +184,8 @@ void truncateTo(const std::string& path, long size) {
 
 }  // namespace detail
 
-TEST(TraceIoV2, WriterProducesV2WithLayout) {
-  const std::string path = tmpPath("v2layout.mtrace");
+TEST(TraceIoV3, WriterProducesV3WithLayout) {
+  const std::string path = tmpPath("v3layout.mtrace");
   AddressLayout::Params params;
   params.page_bytes = 16 * 1024;  // non-default, must round-trip
   {
@@ -184,7 +199,8 @@ TEST(TraceIoV2, WriterProducesV2WithLayout) {
   }
   TraceReader rd(path);
   ASSERT_TRUE(rd.ok()) << rd.error();
-  EXPECT_EQ(rd.version(), 2u);
+  EXPECT_EQ(rd.version(), 3u);
+  EXPECT_EQ(rd.version(), kTraceVersion);
   ASSERT_TRUE(rd.hasLayout());
   EXPECT_EQ(rd.layoutParams().page_bytes, 16u * 1024);
   EXPECT_EQ(rd.layoutParams().addr_bits, params.addr_bits);
@@ -192,7 +208,7 @@ TEST(TraceIoV2, WriterProducesV2WithLayout) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, TruncatedFileIsHardErrorAtOpen) {
+TEST(TraceIoV3, TruncatedFileIsHardErrorAtOpen) {
   const std::string path = tmpPath("trunc.mtrace");
   detail::writeTrace(path, 50);
   // Chop off the tail of the last record: the header still promises 50.
@@ -206,7 +222,7 @@ TEST(TraceIoV2, TruncatedFileIsHardErrorAtOpen) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, TrailingGarbageIsHardErrorAtOpen) {
+TEST(TraceIoV3, TrailingGarbageIsHardErrorAtOpen) {
   const std::string path = tmpPath("tail.mtrace");
   detail::writeTrace(path, 10);
   std::FILE* f = std::fopen(path.c_str(), "ab");
@@ -217,7 +233,7 @@ TEST(TraceIoV2, TrailingGarbageIsHardErrorAtOpen) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, BadKindByteRejectedAtRead) {
+TEST(TraceIoV3, BadKindByteRejectedAtRead) {
   const std::string path = tmpPath("badkind.mtrace");
   detail::writeTrace(path, 20);
   // Record 7's kind byte -> 9 (no such InstrKind).
@@ -237,7 +253,7 @@ TEST(TraceIoV2, BadKindByteRejectedAtRead) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, BadSizeByteRejectedAtRead) {
+TEST(TraceIoV3, BadSizeByteRejectedAtRead) {
   const std::string path = tmpPath("badsize.mtrace");
   detail::writeTrace(path, 20);
   // Record 1 is a load (kind = 1 % 3); zero its size byte.
@@ -257,7 +273,7 @@ TEST(TraceIoV2, BadSizeByteRejectedAtRead) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, PayloadCorruptionCaughtByChecksum) {
+TEST(TraceIoV3, PayloadCorruptionCaughtByChecksum) {
   const std::string path = tmpPath("checksum.mtrace");
   detail::writeTrace(path, 30);
   // Flip an address byte: every record still decodes as valid, only the
@@ -276,7 +292,7 @@ TEST(TraceIoV2, PayloadCorruptionCaughtByChecksum) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, FinishChecksumVerifiesBeyondACap) {
+TEST(TraceIoV3, FinishChecksumVerifiesBeyondACap) {
   const std::string path = tmpPath("cap_corrupt.mtrace");
   detail::writeTrace(path, 40);
   // Corrupt an address byte deep in the file — far beyond the few records
@@ -297,7 +313,7 @@ TEST(TraceIoV2, FinishChecksumVerifiesBeyondACap) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, FinishChecksumCleanLeavesStreamReplayable) {
+TEST(TraceIoV3, FinishChecksumCleanLeavesStreamReplayable) {
   const std::string path = tmpPath("cap_clean.mtrace");
   detail::writeTrace(path, 40);
   TraceReader rd(path);
@@ -313,7 +329,7 @@ TEST(TraceIoV2, FinishChecksumCleanLeavesStreamReplayable) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, FailureIsStickyAcrossReset) {
+TEST(TraceIoV3, FailureIsStickyAcrossReset) {
   const std::string path = tmpPath("sticky.mtrace");
   detail::writeTrace(path, 5);
   detail::corruptByte(
@@ -329,7 +345,7 @@ TEST(TraceIoV2, FailureIsStickyAcrossReset) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, EmptyTraceIsCleanEof) {
+TEST(TraceIoV3, EmptyTraceIsCleanEof) {
   const std::string path = tmpPath("empty.mtrace");
   {
     TraceWriter w(path);
@@ -360,11 +376,80 @@ std::vector<std::uint8_t> payloadOf(const std::string& path) {
   return bytes;
 }
 
-/// FNV-1a over the first `n` records, hashed the plain inline way.
-std::uint64_t inlineSum(const std::vector<std::uint8_t>& payload,
-                        std::uint64_t n) {
-  return binio::fnv1a(binio::kFnvOffset, payload.data(),
-                      static_cast<std::size_t>(n) * kRecordBytes);
+/// The v3 record digest, written byte by byte from docs/FILE_FORMATS.md
+/// ("Checksum (v3)"), independently of binio.
+std::uint64_t referenceDigest(const std::uint8_t* rec) {
+  auto word = [rec](std::size_t at, std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i)
+      v |= static_cast<std::uint64_t>(rec[at + i]) << (8 * i);
+    return v;
+  };
+  auto mix = [](std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  return mix(word(0, 8) * 0x9e3779b97f4a7c15ull) +
+         mix(word(8, 8) * 0xc2b2ae3d27d4eb4full) +
+         mix(word(16, 8) * 0x165667b19e3779f9ull) +
+         mix(word(24, 2) * 0xd6e8feb86659fd93ull);
+}
+
+/// The v3 running checksum over the first `n` records, from the spec.
+std::uint64_t referenceSum(const std::vector<std::uint8_t>& payload,
+                           std::uint64_t n) {
+  std::uint64_t s = 0xcbf29ce484222325ull;
+  for (std::uint64_t i = 0; i < n; ++i)
+    s = (s ^ referenceDigest(payload.data() + i * kRecordBytes)) *
+        0x100000001b3ull;
+  return s;
+}
+
+/// The v2 running checksum: byte FNV-1a over the first `n` records.
+std::uint64_t fnvSum(const std::vector<std::uint8_t>& payload,
+                     std::uint64_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < n * kRecordBytes; ++i) {
+    h ^= payload[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Walk a 10,000-record trace and check runningChecksum() against `sum`,
+/// the reference fold of the file's version, at block edges (4096 records)
+/// reached by next(), at positions reached by skip() alone (whose block
+/// the reader has not loaded yet), and after a seekTo(), which restarts the
+/// verifier from (n, sum) so its blocks then start at n.
+void expectRunningChecksums(
+    const std::string& path,
+    std::uint64_t (*sum)(const std::vector<std::uint8_t>&, std::uint64_t)) {
+  const std::vector<std::uint8_t> payload = payloadOf(path);
+  TraceReader rd(path);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  ASSERT_EQ(rd.total(), 10'000u);
+  EXPECT_EQ(rd.expectedChecksum(), sum(payload, 10'000));
+  InstrRecord r;
+  for (const std::uint64_t at : {0u, 4095u, 4096u, 4097u}) {
+    while (rd.consumed() < at) ASSERT_TRUE(rd.next(r));
+    EXPECT_EQ(rd.runningChecksum(), sum(payload, at)) << at;
+  }
+  for (const std::uint64_t at : {8191u, 8192u, 9999u, 10'000u}) {
+    ASSERT_TRUE(rd.skip(at - rd.consumed()));
+    EXPECT_EQ(rd.runningChecksum(), sum(payload, at)) << at;
+  }
+  EXPECT_TRUE(rd.ok()) << rd.error();
+  ASSERT_TRUE(rd.seekTo(5000, sum(payload, 5000)));
+  EXPECT_EQ(rd.runningChecksum(), sum(payload, 5000));
+  for (const std::uint64_t at : {5001u, 9095u, 9096u, 9097u}) {
+    while (rd.consumed() < at) ASSERT_TRUE(rd.next(r));
+    EXPECT_EQ(rd.runningChecksum(), sum(payload, at)) << at;
+  }
+  while (rd.next(r)) {
+  }
+  EXPECT_TRUE(rd.ok()) << rd.error();  // end-of-stream check passed
+  EXPECT_EQ(rd.runningChecksum(), rd.expectedChecksum());
 }
 
 /// Threads of this process (Linux); -1 where /proc is unavailable.
@@ -472,35 +557,10 @@ TEST(TraceIoVerifier, SkipServesTheSameStreamAsNext) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoVerifier, RunningChecksumMatchesInlineFnv) {
+TEST(TraceIoVerifier, RunningChecksumMatchesTheReferenceFold) {
   const std::string path = tmpPath("runsum.mtrace");
   detail::writeTrace(path, 10'000);
-  const std::vector<std::uint8_t> payload = detail::payloadOf(path);
-  TraceReader rd(path);
-  InstrRecord r;
-  // Block edges (4096 records) by next(), then positions reached by skip()
-  // alone, whose block the reader has not loaded yet.
-  for (const std::uint64_t at : {0u, 4095u, 4096u, 4097u}) {
-    while (rd.consumed() < at) ASSERT_TRUE(rd.next(r));
-    EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, at)) << at;
-  }
-  for (const std::uint64_t at : {8191u, 8192u, 9999u, 10'000u}) {
-    ASSERT_TRUE(rd.skip(at - rd.consumed()));
-    EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, at)) << at;
-  }
-  EXPECT_TRUE(rd.ok()) << rd.error();
-  // After seekTo the verifier restarts from (n, sum): its blocks now start
-  // at n, and the running value continues from the given sum.
-  ASSERT_TRUE(rd.seekTo(5000, detail::inlineSum(payload, 5000)));
-  EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, 5000));
-  for (const std::uint64_t at : {5001u, 9095u, 9096u, 9097u}) {
-    while (rd.consumed() < at) ASSERT_TRUE(rd.next(r));
-    EXPECT_EQ(rd.runningChecksum(), detail::inlineSum(payload, at)) << at;
-  }
-  while (rd.next(r)) {
-  }
-  EXPECT_TRUE(rd.ok()) << rd.error();  // end-of-stream check passed
-  EXPECT_EQ(rd.runningChecksum(), rd.expectedChecksum());
+  detail::expectRunningChecksums(path, detail::referenceSum);
   std::remove(path.c_str());
 }
 
@@ -530,17 +590,24 @@ TEST(TraceIoVerifier, FinishChecksumRejectsAnInvalidRecordBeyondACap) {
 }
 
 TEST(TraceIoVerifier, HeaderOnlyOpenSpawnsNoThread) {
+  // Asked of the reader itself, not counted in /proc/self/task: a
+  // sanitizer runtime starts threads of its own at moments of its choosing.
   const std::string path = tmpPath("nothread.mtrace");
   detail::writeTrace(path, 100);
-  const long before = detail::threadCount();
-  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this host";
   TraceReader rd(path);
   ASSERT_TRUE(rd.ok());
   EXPECT_EQ(rd.total(), 100u);
-  EXPECT_EQ(detail::threadCount(), before);
+  EXPECT_EQ(rd.version(), kTraceVersion);
+  EXPECT_TRUE(rd.hasLayout());
+  EXPECT_NE(rd.expectedChecksum(), 0u);
+  EXPECT_FALSE(rd.verifierStarted());
   InstrRecord r;
   ASSERT_TRUE(rd.next(r));  // first data access starts the verifier
-  EXPECT_EQ(detail::threadCount(), before + 1);
+  EXPECT_TRUE(rd.verifierStarted());
+  ASSERT_TRUE(rd.seekTo(50, 0));  // a restart stops it until the next access
+  EXPECT_FALSE(rd.verifierStarted());
+  ASSERT_TRUE(rd.skip(1));
+  EXPECT_TRUE(rd.verifierStarted());
   std::remove(path.c_str());
 }
 
@@ -575,6 +642,249 @@ TEST(TraceIoVerifier, DestroyingAReaderMidStreamJoinsCleanly) {
     EXPECT_EQ(detail::threadCount(), before);
   }
   std::remove(path.c_str());
+}
+
+// --- v3 checksum definition, and v2 read compatibility ----------------------
+
+namespace detail {
+
+/// The known-answer records of docs/FILE_FORMATS.md ("Checksum (v3)").
+std::vector<InstrRecord> knownAnswerRecords() {
+  std::vector<InstrRecord> recs(3);
+  recs[0].seq = 0;
+  recs[0].vaddr = 0x1000;
+  recs[0].kind = InstrKind::kLoad;
+  recs[0].size = 8;
+  recs[1].seq = 1;
+  recs[1].vaddr = 0x0123456789abcdefull;
+  recs[1].kind = InstrKind::kStore;
+  recs[1].size = 4;
+  recs[1].dep_distance = 3;
+  recs[1].addr_dep_distance = 0xA1B2C3D4u;
+  recs[2].seq = 2;
+  recs[2].kind = InstrKind::kOther;
+  recs[2].dep_distance = 1;
+  return recs;
+}
+
+/// Write `recs` as the v2 writer laid a file out: the 52-byte header with
+/// version 2 and byte-serial FNV-1a over the payload.
+void writeV2Trace(const std::string& path,
+                  const std::vector<InstrRecord>& recs) {
+  std::vector<std::uint8_t> payload(recs.size() * kRecordBytes);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    std::uint8_t* p = payload.data() + i * kRecordBytes;
+    binio::put64(p + 0, recs[i].seq);
+    binio::put64(p + 8, recs[i].vaddr);
+    p[16] = static_cast<std::uint8_t>(recs[i].kind);
+    p[17] = recs[i].size;
+    binio::put32(p + 18, recs[i].dep_distance);
+    binio::put32(p + 22, recs[i].addr_dep_distance);
+  }
+  const AddressLayout layout;
+  const std::uint32_t params[] = {
+      layout.addrBits(),      layout.pageBytes(), layout.lineBytes(),
+      layout.subBlockBytes(), layout.l1Bytes(),   layout.l1Assoc(),
+      layout.l1Banks()};
+  std::uint8_t hdr[kHeaderBytesV2] = {};
+  binio::put32(hdr + 0, kTraceMagic);
+  binio::put32(hdr + 4, kTraceVersionV2);
+  binio::put64(hdr + 8, recs.size());
+  binio::put64(hdr + 16, fnvSum(payload, recs.size()));
+  for (std::size_t i = 0; i < 7; ++i) binio::put32(hdr + 24 + 4 * i, params[i]);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(hdr, 1, sizeof hdr, f), sizeof hdr);
+  ASSERT_EQ(std::fwrite(payload.data(), 1, payload.size(), f),
+            payload.size());
+  std::fclose(f);
+}
+
+}  // namespace detail
+
+TEST(TraceIoV3, ChecksumKnownAnswer) {
+  // Pinned here and in docs/FILE_FORMATS.md: any change to the digest, the
+  // fold or the record encoding moves these values.
+  const std::string path = tmpPath("known_answer.mtrace");
+  detail::writeRecords(path, detail::knownAnswerRecords());
+  const std::vector<std::uint8_t> payload = detail::payloadOf(path);
+  ASSERT_EQ(payload.size(), 3 * detail::kRecordBytes);
+  const std::uint64_t digests[] = {0xf89ac4eacf0cf3a1ull,
+                                   0xd195442a9da1af06ull,
+                                   0x6b73851e97416019ull};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::uint8_t* rec = payload.data() + i * detail::kRecordBytes;
+    EXPECT_EQ(binio::traceRecordDigest(rec), digests[i]) << i;
+    EXPECT_EQ(detail::referenceDigest(rec), digests[i]) << i;
+  }
+  EXPECT_EQ(detail::referenceSum(payload, 3), 0x117192d5598cf9c5ull);
+  TraceReader rd(path);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  EXPECT_EQ(rd.expectedChecksum(), 0x117192d5598cf9c5ull);
+  EXPECT_EQ(drain(rd).size(), 3u);
+  EXPECT_TRUE(rd.ok()) << rd.error();
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoV3, AnyOneOrTwoBitFlipsChangeTheChecksum) {
+  // Exhaustive over the known-answer file: every single bit and every pair
+  // of bits of its 3 × 208 payload bits, within a word, across the words of
+  // one record and across records. A digest that mixed the words linearly
+  // would fail here (two flipped top bits cancel in a sum).
+  const std::string path = tmpPath("flip2.mtrace");
+  detail::writeRecords(path, detail::knownAnswerRecords());
+  std::vector<std::uint8_t> payload = detail::payloadOf(path);
+  std::remove(path.c_str());
+  const std::size_t bits = payload.size() * 8;
+  const std::uint64_t clean =
+      binio::foldTraceRecords(binio::kFnvOffset, payload.data(), 3);
+  auto flip = [&payload](std::size_t bit) {
+    payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  };
+  std::size_t tried = 0, collided = 0;
+  std::string first;
+  for (std::size_t a = 0; a < bits; ++a) {
+    flip(a);
+    for (std::size_t b = a; b < bits; ++b) {
+      if (b != a) flip(b);
+      ++tried;
+      if (binio::foldTraceRecords(binio::kFnvOffset, payload.data(), 3) ==
+              clean &&
+          collided++ == 0)
+        first = "bits " + std::to_string(a) + " and " + std::to_string(b);
+      if (b != a) flip(b);
+    }
+    flip(a);
+  }
+  EXPECT_EQ(tried, bits * (bits + 1) / 2);
+  EXPECT_EQ(collided, 0u) << "first: " << first;
+}
+
+TEST(TraceIoV3, EveryByteOfARecordIsHashed) {
+  const std::string path = tmpPath("flip.mtrace");
+  detail::writeTrace(path, 3);
+  const std::vector<std::uint8_t> payload = detail::payloadOf(path);
+  const std::uint8_t* rec = payload.data() + detail::kRecordBytes;
+  // Flipping any one byte position of the file's record 1 fails the
+  // checksum. Record 1 is a load of size 8: the flipped kind and size bytes
+  // (0 and 9) still decode, so only the checksum can notice.
+  for (std::size_t byte = 0; byte < detail::kRecordBytes; ++byte) {
+    detail::writeTrace(path, 3);
+    detail::corruptByte(path,
+                        static_cast<long>(detail::kHeaderBytesV2 +
+                                          detail::kRecordBytes + byte),
+                        static_cast<std::uint8_t>(rec[byte] ^ 1));
+    const auto [error, pos] = detail::nextFailure(path);
+    EXPECT_NE(error.find("record checksum mismatch"), std::string::npos)
+        << "byte " << byte << ": " << error;
+    EXPECT_EQ(pos, 3u) << "byte " << byte;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoV2, ReadCompat) {
+  const std::string path = tmpPath("v2.mtrace");
+  const std::vector<InstrRecord> recs = detail::makeRecords(10'000);
+  detail::writeV2Trace(path, recs);
+  // The running checksum follows the v2 rule at every position the v3
+  // test probes.
+  detail::expectRunningChecksums(path, detail::fnvSum);
+  TraceReader rd(path);
+  ASSERT_TRUE(rd.ok()) << rd.error();
+  EXPECT_EQ(rd.version(), kTraceVersionV2);
+  EXPECT_TRUE(rd.hasLayout());
+  const std::vector<InstrRecord> back = drain(rd);
+  EXPECT_TRUE(rd.ok()) << rd.error();
+  ASSERT_EQ(back.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(back[i].seq, recs[i].seq);
+    EXPECT_EQ(back[i].vaddr, recs[i].vaddr);
+    EXPECT_EQ(static_cast<int>(back[i].kind),
+              static_cast<int>(recs[i].kind));
+    EXPECT_EQ(back[i].size, recs[i].size);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoV2, CorruptionFailsWhereV3Fails) {
+  // The same flipped address byte in a v2 and a v3 file of the same
+  // records: next(), skip() and finishChecksum() each fail at the same call
+  // and record, with the same message.
+  const std::string path = tmpPath("v2v3corrupt.mtrace");
+  const std::vector<InstrRecord> recs = detail::makeRecords(9000);
+  const long at = static_cast<long>(detail::kHeaderBytesV2 +
+                                    8000 * detail::kRecordBytes + 9);
+  struct Outcome {
+    std::string next_error, skip_error, finish_error;
+    std::uint64_t next_pos = 0, skip_pos = 0;
+  };
+  auto probe = [&] {
+    Outcome o;
+    std::tie(o.next_error, o.next_pos) = detail::nextFailure(path);
+    {
+      TraceReader rd(path);
+      InstrRecord r;
+      EXPECT_TRUE(rd.next(r));
+      EXPECT_FALSE(rd.skip(9000));
+      o.skip_error = rd.error();
+      o.skip_pos = rd.consumed();
+    }
+    {
+      TraceReader rd(path);
+      InstrRecord r;
+      for (int i = 0; i < 5; ++i) EXPECT_TRUE(rd.next(r));
+      EXPECT_FALSE(rd.finishChecksum());
+      o.finish_error = rd.error();
+    }
+    return o;
+  };
+  detail::writeRecords(path, recs);
+  detail::corruptByte(path, at, 0xAB);
+  const Outcome v3 = probe();
+  detail::writeV2Trace(path, recs);
+  detail::corruptByte(path, at, 0xAB);
+  const Outcome v2 = probe();
+  EXPECT_NE(v3.next_error.find("record checksum mismatch"), std::string::npos)
+      << v3.next_error;
+  EXPECT_EQ(v3.next_pos, 9000u);
+  EXPECT_EQ(v2.next_error, v3.next_error);
+  EXPECT_EQ(v2.next_pos, v3.next_pos);
+  EXPECT_EQ(v2.skip_error, v3.skip_error);
+  EXPECT_EQ(v2.skip_pos, v3.skip_pos);
+  EXPECT_EQ(v2.finish_error, v3.finish_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoV2, PlanBindsToMatchingV2AndV3Traces) {
+  const std::vector<InstrRecord> recs = detail::makeRecords(100);
+  const std::string v2_path = tmpPath("bind_v2.mtrace");
+  const std::string v3_path = tmpPath("bind_v3.mtrace");
+  detail::writeV2Trace(v2_path, recs);
+  detail::writeRecords(v3_path, recs);
+  const TraceReader v2(v2_path), v3(v3_path);
+  ASSERT_TRUE(v2.ok()) << v2.error();
+  ASSERT_TRUE(v3.ok()) << v3.error();
+  auto planFor = [](const TraceReader& rd) {
+    phase::SamplePlan plan;
+    plan.interval_size = 10;
+    plan.trace_records = rd.total();
+    plan.trace_checksum = rd.expectedChecksum();
+    return plan;
+  };
+  EXPECT_TRUE(phase::planBindsTo(planFor(v2), v2));
+  EXPECT_TRUE(phase::planBindsTo(planFor(v3), v3));
+  // The same records under the other version's checksum are another file.
+  EXPECT_NE(v2.expectedChecksum(), v3.expectedChecksum());
+  EXPECT_FALSE(phase::planBindsTo(planFor(v2), v3));
+  EXPECT_FALSE(phase::planBindsTo(planFor(v3), v2));
+  phase::SamplePlan edited = planFor(v3);
+  edited.trace_checksum ^= 1;
+  EXPECT_FALSE(phase::planBindsTo(edited, v3));
+  phase::SamplePlan shorter = planFor(v3);
+  shorter.trace_records = 99;
+  EXPECT_FALSE(phase::planBindsTo(shorter, v3));
+  std::remove(v2_path.c_str());
+  std::remove(v3_path.c_str());
 }
 
 TEST(TraceIoV1, ReadCompat) {

@@ -19,8 +19,8 @@
 //   malec_bench ... --task-timeout 60000      per-task SIGKILL timeout [ms]
 //
 // (--worker is the internal per-task entry the coordinator fork/execs;
-// MALEC_TASK_TIMEOUT / MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune
-// supervision, MALEC_FAULT_SPEC injects deterministic faults for tests.)
+// MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune supervision,
+// MALEC_FAULT_SPEC injects deterministic faults for tests.)
 //
 // Result store (docs/FILE_FORMATS.md, ".mstore v1"): every sink run can
 // land durably in a queryable store, and three subcommands work on it —
@@ -36,10 +36,9 @@
 //                       [--objective ipc,energy] [--rounds N] [--batch N]
 //                       [--resume]                adaptive Pareto search
 //
-// Defaults: console table sink; a CSV sink is added when MALEC_CSV_DIR is
-// set (the legacy behaviour, now just one sink among several), a store
-// sink when MALEC_STORE is set; MALEC_INSTR and MALEC_JOBS keep working
-// unless --instr / --jobs override them.
+// Defaults: console table sink (--csv-dir adds a CSV sink, --store a store
+// sink); MALEC_INSTR and MALEC_JOBS keep working unless --instr / --jobs
+// override them.
 // Setting MALEC_TRACE_DIR registers every *.mtrace capture in it as a
 // "trace:<stem>" workload — `--suite trace_replay` runs them through the
 // Table-I interfaces (capture files with `trace_tools gen`), and
@@ -188,12 +187,7 @@ int cmdQuery(int argc, char** argv) {
     }
   }
   if (store_path.empty()) {
-    if (const char* env = std::getenv("MALEC_STORE");
-        env != nullptr && env[0] != '\0')
-      store_path = env;
-  }
-  if (store_path.empty()) {
-    std::fprintf(stderr, "query needs --store PATH (or MALEC_STORE)\n");
+    std::fprintf(stderr, "query needs --store PATH\n");
     return 2;
   }
   store::ResultStore rs;
@@ -558,41 +552,15 @@ int main(int argc, char** argv) {
   }
 
   // --- sink assembly --------------------------------------------------------
-  // No explicit --sink selection = legacy behaviour: console table plus a
-  // CSV sink when MALEC_CSV_DIR is set (and a store sink when MALEC_STORE
-  // is set).
-  if (!want_table && !want_csv && !want_json && !want_store) {
-    want_table = true;
-    if (const char* dir = std::getenv("MALEC_CSV_DIR");
-        dir != nullptr && dir[0] != '\0') {
-      want_csv = true;
-      csv_dir = dir;
-    }
-    if (const char* sp = std::getenv("MALEC_STORE");
-        sp != nullptr && sp[0] != '\0') {
-      want_store = true;
-      store_path = sp;
-    }
-  }
+  // No sink selected = the console table.
+  if (!want_table && !want_csv && !want_json && !want_store) want_table = true;
   if (want_csv && csv_dir.empty()) {
-    if (const char* dir = std::getenv("MALEC_CSV_DIR");
-        dir != nullptr && dir[0] != '\0')
-      csv_dir = dir;
-    else {
-      std::fprintf(stderr,
-                   "--sink csv needs --csv-dir DIR (or MALEC_CSV_DIR)\n");
-      return 2;
-    }
+    std::fprintf(stderr, "--sink csv needs --csv-dir DIR\n");
+    return 2;
   }
   if (want_store && store_path.empty()) {
-    if (const char* sp = std::getenv("MALEC_STORE");
-        sp != nullptr && sp[0] != '\0')
-      store_path = sp;
-    else {
-      std::fprintf(stderr,
-                   "--sink store needs --store PATH (or MALEC_STORE)\n");
-      return 2;
-    }
+    std::fprintf(stderr, "--sink store needs --store PATH\n");
+    return 2;
   }
 
   std::vector<std::unique_ptr<sim::ResultSink>> owned;

@@ -7,12 +7,12 @@
 //       Fig.1-style locality report
 //   trace_tools run <file> [--config NAME] [--instr N] [--seed S]
 //       simulate a captured trace through the shared experiment runner.
-//       --ckpt-out PATH [--ckpt-every N] writes a full-state `.mckpt`
-//       checkpoint every N retired instructions (N defaults to
-//       MALEC_CKPT_EVERY); --from-ckpt PATH resumes one — the resumed
-//       run's report is bit-identical to the uninterrupted run. With
-//       --sampled, --warmup-ckpt PATH caches the per-pick warm states so
-//       repeated sweeps of the same (trace, plan, config) skip warmup.
+//       --ckpt-out PATH --ckpt-every N writes a full-state `.mckpt`
+//       checkpoint every N retired instructions; --from-ckpt PATH resumes
+//       one — the resumed run's report is bit-identical to the
+//       uninterrupted run. With --sampled, --warmup-ckpt PATH caches the
+//       per-pick warm states so repeated sweeps of the same (trace, plan,
+//       config) skip warmup.
 //   trace_tools synth <benchmark> [--config NAME] [--instr N] [--seed S]
 //       the equivalent direct synthetic run, same report — `diff` its
 //       output against `run` on a capture of the same benchmark to verify
@@ -56,7 +56,7 @@ struct RunFlags {
   bool sampled = false;  ///< replay through a sample plan
   std::string plan;      ///< explicit plan path ("" = the .mplan sidecar)
   std::string ckpt_out;  ///< write a .mckpt here every ckpt_every instrs
-  std::uint64_t ckpt_every = 0;  ///< 0 = MALEC_CKPT_EVERY
+  std::uint64_t ckpt_every = 0;  ///< required with ckpt_out
   std::string from_ckpt;     ///< resume from this .mckpt
   std::string warmup_ckpt;   ///< sampled warmup-state cache
 };
@@ -134,11 +134,10 @@ void printRunSummary(const sim::RunOutput& out) {
 }
 
 int runWorkload(const trace::WorkloadProfile& wl, const RunFlags& flags) {
-  // A cadence with nowhere to write would silently checkpoint nothing —
-  // reject like every other flag misuse. (MALEC_CKPT_EVERY alone is fine:
-  // that is ambient configuration, consulted only when an output is set.)
-  if (flags.ckpt_every != 0 && flags.ckpt_out.empty()) {
-    std::fprintf(stderr, "--ckpt-every needs --ckpt-out\n");
+  // A cadence with nowhere to write, or an output with no cadence, would
+  // silently checkpoint nothing — reject like every other flag misuse.
+  if ((flags.ckpt_every != 0) != !flags.ckpt_out.empty()) {
+    std::fprintf(stderr, "--ckpt-every and --ckpt-out go together\n");
     std::exit(2);
   }
   sim::RunConfig rc;

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
+
 namespace malec::ckpt {
 
 /// Magic bytes + version identifying a MALEC checkpoint file ("MCKP").
@@ -61,9 +63,11 @@ class StateWriter {
   [[nodiscard]] std::size_t sectionCount() const { return sections_; }
 
  private:
+  binio::ByteWriter& body();  ///< payload_, asserting a section is open
+
   std::uint32_t magic_;
   std::uint32_t version_;
-  std::vector<std::uint8_t> payload_;
+  binio::ByteWriter payload_;
   std::vector<std::string> names_;  ///< for the uniqueness check
   std::size_t sections_ = 0;
   /// Offset of the open section's body-length field; npos-like sentinel
@@ -95,6 +99,10 @@ class StateReader {
   /// Assert the open section was consumed exactly; aborts otherwise.
   void endSection();
 
+  /// Bytes left in the open section — the bound a decoded element count
+  /// must respect before anything is sized by it.
+  [[nodiscard]] std::size_t remaining() const;
+
   // --- primitive reads (abort past the open section's end) ------------------
   std::uint8_t u8();
   std::uint32_t u32();
@@ -110,7 +118,8 @@ class StateReader {
     std::size_t size = 0;
   };
 
-  void need(std::size_t n);  ///< abort unless n bytes remain in the section
+  /// Abort unless a section is open and no read overran it.
+  void check() const;
 
   bool ok_ = false;
   std::string error_;
@@ -118,8 +127,7 @@ class StateReader {
   std::string kind_;
   std::vector<std::uint8_t> payload_;
   std::vector<Section> sections_;
-  std::size_t cur_ = 0;      ///< read cursor within payload_
-  std::size_t cur_end_ = 0;  ///< open section's end
+  binio::ByteReader cur_;  ///< the open section's bytes
   bool section_open_ = false;
 };
 

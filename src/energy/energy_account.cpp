@@ -129,15 +129,12 @@ namespace {
 /// FNV-1a over the (sorted) name -> id mapping: a cheap fingerprint of the
 /// event space a checkpoint's counters index into.
 std::uint64_t eventSpaceHash(const std::map<std::string, EnergyAccount::EventId>& index) {
-  std::uint64_t h = binio::kFnvOffset;
+  binio::ByteWriter w;
   for (const auto& [name, id] : index) {
-    h = binio::fnv1a(h, reinterpret_cast<const std::uint8_t*>(name.data()),
-                     name.size());
-    std::uint8_t idb[4];
-    binio::put32(idb, id);
-    h = binio::fnv1a(h, idb, sizeof idb);
+    w.bytes(name);
+    w.u32(id);
   }
-  return h;
+  return w.fnv1a();
 }
 
 }  // namespace

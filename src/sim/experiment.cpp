@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -168,33 +167,11 @@ RunOutput runOneSampled(const RunConfig& rc);
 // meta section, the workload by its statistical profile (synthetic) or by
 // the trace's record count + checksum (like `.mplan`). Restoring under
 // anything else is a hard error — a checkpoint silently applied to a
-// different run would produce plausible-looking nonsense.
+// different run would produce plausible-looking nonsense. Each binding hash
+// is the FNV-1a of the values' canonical encoding in a ByteWriter (strings
+// with a u64 length).
 
-/// Canonical little-endian byte stream of a value sequence, FNV-1a hashed.
-class BindingHasher {
- public:
-  void u64(std::uint64_t v) {
-    std::uint8_t b[8];
-    binio::put64(b, v);
-    h_ = binio::fnv1a(h_, b, sizeof b);
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    h_ = binio::fnv1a(h_, reinterpret_cast<const std::uint8_t*>(s.data()),
-                      s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = binio::kFnvOffset;
-};
-
-void hashLayout(BindingHasher& h, const AddressLayout& l) {
+void hashLayout(binio::ByteWriter& h, const AddressLayout& l) {
   h.u64(l.addrBits());
   h.u64(l.pageBytes());
   h.u64(l.lineBytes());
@@ -204,7 +181,7 @@ void hashLayout(BindingHasher& h, const AddressLayout& l) {
   h.u64(l.l1Banks());
 }
 
-void hashProfile(BindingHasher& h, const trace::WorkloadProfile& wl) {
+void hashProfile(binio::ByteWriter& h, const trace::WorkloadProfile& wl) {
   // Every statistical parameter the generator draws from. The trace and
   // plan paths are deliberately NOT hashed — files may move; trace-backed
   // runs bind by record count + checksum instead.
@@ -234,9 +211,9 @@ void hashProfile(BindingHasher& h, const trace::WorkloadProfile& wl) {
 /// interface config, system config, seed, budget and the workload's
 /// synthetic statistics.
 std::uint64_t runBindingHash(const RunConfig& rc) {
-  BindingHasher h;
+  binio::ByteWriter h;
   const core::InterfaceConfig& c = rc.interface_cfg;
-  h.str(c.name);
+  h.str64(c.name);
   h.u64(static_cast<std::uint64_t>(c.kind));
   h.u64(c.l1_latency);
   h.u64(c.agu_load_only);
@@ -278,7 +255,7 @@ std::uint64_t runBindingHash(const RunConfig& rc) {
   h.u64(rc.seed);
   h.u64(rc.instructions);
   hashProfile(h, rc.workload);
-  return h.value();
+  return h.fnv1a();
 }
 
 void writeMetaSection(ckpt::StateWriter& w, const RunConfig& rc,
@@ -383,7 +360,7 @@ void saveRunState(const RunConfig& rc, const ResolvedSource& src,
 /// Fingerprint of a sample plan — the warmup cache binds to the exact pick
 /// set, not just the trace.
 std::uint64_t planFingerprint(const phase::SamplePlan& plan) {
-  BindingHasher h;
+  binio::ByteWriter h;
   h.u64(plan.interval_size);
   h.u64(plan.warmup_instructions);
   h.u64(plan.trace_records);
@@ -393,7 +370,7 @@ std::uint64_t planFingerprint(const phase::SamplePlan& plan) {
     h.u64(p.interval_index);
     h.u64(p.weight_instructions);
   }
-  return h.value();
+  return h.fnv1a();
 }
 
 /// Restore `rc.start_ckpt` into the freshly-constructed simulation stack.
@@ -459,13 +436,11 @@ RunOutput runOne(const RunConfig& rc) {
   if (!rc.start_ckpt.empty()) restoreRunState(rc, src, ea, *ifc, core);
   bool wrote_ckpt = false;
   if (!rc.ckpt_out.empty()) {
-    const std::uint64_t every =
-        rc.ckpt_every != 0 ? rc.ckpt_every : envU64("MALEC_CKPT_EVERY", 0);
-    MALEC_CHECK_MSG(every != 0,
+    MALEC_CHECK_MSG(rc.ckpt_every != 0,
                     "a checkpoint output path needs an interval — set "
-                    "ckpt_every (--ckpt-every) or MALEC_CKPT_EVERY");
+                    "ckpt_every (--ckpt-every)");
     core.setCheckpointHook(
-        every, [&rc, &src, &ea, &ifc, &core, &wrote_ckpt] {
+        rc.ckpt_every, [&rc, &src, &ea, &ifc, &core, &wrote_ckpt] {
           saveRunState(rc, src, ea, *ifc, core);
           wrote_ckpt = true;
         });
@@ -481,7 +456,7 @@ RunOutput runOne(const RunConfig& rc) {
   if (!rc.ckpt_out.empty() && rc.start_ckpt.empty() && !wrote_ckpt) {
     const std::string msg =
         "checkpoint interval exceeds the run: no checkpoint was written to "
-        "'" + rc.ckpt_out + "' — lower ckpt_every/MALEC_CKPT_EVERY below "
+        "'" + rc.ckpt_out + "' — lower ckpt_every (--ckpt-every) below "
         "the instruction budget";
     MALEC_CHECK_MSG(false, msg.c_str());
   }
@@ -559,12 +534,12 @@ RunOutput runOneSampled(const RunConfig& rc) {
   if (cache_path.empty()) {
     if (const char* dir = std::getenv("MALEC_CKPT_WARMUP_DIR");
         dir != nullptr && dir[0] != '\0') {
-      BindingHasher key;
+      binio::ByteWriter key;
       key.u64(runBindingHash(rc));
       key.u64(planFingerprint(plan));
       char hex[17];
       std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(key.value()));
+                    static_cast<unsigned long long>(key.fnv1a()));
       cache_path = std::string(dir) + "/warmup_" + hex + ".mckpt";
     }
   }
@@ -833,14 +808,6 @@ std::vector<RunConfig> buildRunConfigs(
 }
 
 }  // namespace
-
-std::vector<RunOutput> runConfigs(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed) {
-  return runManyParallel(buildRunConfigs(wl, cfgs, instructions, seed),
-                         /*jobs=*/1);
-}
 
 std::vector<RunOutput> runManyParallel(const std::vector<RunConfig>& rcs,
                                        unsigned jobs) {

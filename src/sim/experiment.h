@@ -32,9 +32,9 @@ struct RunConfig {
 
   // --- checkpointing (docs/ARCHITECTURE.md "Checkpoint determinism") -------
   /// Non-empty = write a full-state `.mckpt` checkpoint to this path every
-  /// `ckpt_every` retired instructions (0 falls back to MALEC_CKPT_EVERY;
-  /// both 0 with an output path set is a hard error — a checkpoint file
-  /// with no cadence would silently never be written). Each checkpoint
+  /// `ckpt_every` retired instructions (0 with an output path set is a
+  /// hard error — a checkpoint file with no cadence would silently never
+  /// be written). Each checkpoint
   /// atomically replaces the previous one, so the file always holds the
   /// newest resumable state. Not available in sampled mode.
   std::string ckpt_out;
@@ -80,13 +80,6 @@ struct RunOutput {
 /// the whole capture. rc.instructions must be 0 in that mode.
 [[nodiscard]] RunOutput runOne(const RunConfig& rc);
 
-/// Run one benchmark across several interface configurations (shared
-/// workload parameters and instruction budget).
-[[nodiscard]] std::vector<RunOutput> runConfigs(
-    const trace::WorkloadProfile& wl,
-    const std::vector<core::InterfaceConfig>& cfgs,
-    std::uint64_t instructions, std::uint64_t seed = 1);
-
 /// Run a batch of arbitrary configurations across a std::thread pool.
 /// Every run is fully independent (own EnergyAccount, trace generator and
 /// RNG state seeded from its RunConfig), so outputs are bit-identical to a
@@ -95,8 +88,9 @@ struct RunOutput {
 [[nodiscard]] std::vector<RunOutput> runManyParallel(
     const std::vector<RunConfig>& rcs, unsigned jobs = 0);
 
-/// Parallel counterpart of runConfigs(): same outputs, sweep spread over
-/// `jobs` worker threads.
+/// Run one benchmark across several interface configurations (shared
+/// workload parameters and instruction budget), spread over `jobs` worker
+/// threads; outputs are bit-identical for every `jobs`, 1 included.
 [[nodiscard]] std::vector<RunOutput> runConfigsParallel(
     const trace::WorkloadProfile& wl,
     const std::vector<core::InterfaceConfig>& cfgs,
@@ -105,7 +99,7 @@ struct RunOutput {
 /// Full (workload x configuration) cross product as ONE parallel batch —
 /// the whole pool stays busy instead of being capped at one row's config
 /// count. Result is indexed [workload][config], each row identical to
-/// runConfigs() for that workload.
+/// runConfigsParallel() for that workload.
 [[nodiscard]] std::vector<std::vector<RunOutput>> runMatrixParallel(
     const std::vector<trace::WorkloadProfile>& wls,
     const std::vector<core::InterfaceConfig>& cfgs,

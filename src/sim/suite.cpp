@@ -172,37 +172,25 @@ SuiteInfo suiteInfo(const SuiteContext& ctx) {
   return info;
 }
 
-namespace {
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  std::uint8_t b[8];
-  binio::put64(b, v);
-  return binio::fnv1a(h, b, sizeof b);
-}
-
-std::uint64_t fold(std::uint64_t h, const std::string& s) {
-  h = binio::fnv1a(h, reinterpret_cast<const std::uint8_t*>(s.data()),
-                   s.size());
-  // NUL terminator: ("ab","c") must not collide with ("a","bc").
-  const std::uint8_t nul = 0;
-  return binio::fnv1a(h, &nul, 1);
-}
-
-}  // namespace
-
 std::uint64_t gridFingerprintParts(
     const std::string& suite, std::uint64_t instructions, std::uint64_t seed,
     const std::vector<std::string>& workload_names,
     const std::vector<std::string>& config_names) {
-  std::uint64_t h = binio::kFnvOffset;
-  h = fold(h, suite);
-  h = fold(h, instructions);
-  h = fold(h, seed);
-  h = fold(h, static_cast<std::uint64_t>(workload_names.size()));
-  for (const auto& n : workload_names) h = fold(h, n);
-  h = fold(h, static_cast<std::uint64_t>(config_names.size()));
-  for (const auto& n : config_names) h = fold(h, n);
-  return h;
+  // Names are NUL-terminated, not length-prefixed: ("ab","c") must not
+  // collide with ("a","bc").
+  binio::ByteWriter w;
+  const auto name = [&w](const std::string& s) {
+    w.bytes(s);
+    w.u8(0);
+  };
+  name(suite);
+  w.u64(instructions);
+  w.u64(seed);
+  w.u64(workload_names.size());
+  for (const auto& n : workload_names) name(n);
+  w.u64(config_names.size());
+  for (const auto& n : config_names) name(n);
+  return w.fnv1a();
 }
 
 std::uint64_t gridFingerprint(const SuiteContext& ctx) {
@@ -247,8 +235,8 @@ void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
     MALEC_CHECK_MSG(spec.configs != nullptr,
                     "spec without custom body needs a configuration set");
     // The whole grid as one batch: the pool is never capped at one row's
-    // configuration count (this is what retired the serial runConfigs
-    // stragglers like the old bench_fig4a main).
+    // configuration count (this is what retired the serial per-workload
+    // loops like the old bench_fig4a main).
     ctx.results = runMatrixParallel(ctx.workloads, ctx.configs,
                                     ctx.instructions, ctx.seed, ctx.jobs);
     ctx.progressDots();

@@ -10,6 +10,12 @@ namespace malec::store {
 
 namespace {
 
+/// Smallest encodings in the "segments" section: a segment header (u64
+/// suite-name length, fingerprint, instructions, seed, u32 run count) and
+/// a run (u64 blob length).
+constexpr std::size_t kMinSegmentBytes = 8 + 8 + 8 + 8 + 4;
+constexpr std::size_t kMinRunBytes = 8;
+
 /// Doubles are compared as bit patterns everywhere in this file: the
 /// directory is a cache of the blob's values, and "equal" means the exact
 /// bits a re-run would produce — an epsilon here would let a corrupted
@@ -36,7 +42,19 @@ bool ResultStore::load(const std::string& path, std::string& err) {
   const std::uint64_t run_count = r.u64();
   r.endSection();
 
+  // The checksum only proves the bytes are the writer's, not that the
+  // writer was honest: bound every count by the bytes its elements need
+  // before anything is sized by it.
   r.openSection("segments");
+  if (segment_count > r.remaining() / kMinSegmentBytes ||
+      run_count > r.remaining() / kMinRunBytes) {
+    err = "'" + path + "': store_meta promises " +
+          std::to_string(segment_count) + " segments and " +
+          std::to_string(run_count) + " runs, more than the " +
+          std::to_string(r.remaining()) +
+          "-byte segments section can hold — the store is corrupt";
+    return false;
+  }
   segments_.reserve(segment_count);
   runs_.reserve(static_cast<std::size_t>(run_count));
   for (std::uint32_t s = 0; s < segment_count; ++s) {
@@ -46,6 +64,13 @@ bool ResultStore::load(const std::string& path, std::string& err) {
     seg.instructions = r.u64();
     seg.seed = r.u64();
     seg.run_count = r.u32();
+    if (seg.run_count > r.remaining() / kMinRunBytes) {
+      err = "'" + path + "': segment " + std::to_string(s) + " promises " +
+            std::to_string(seg.run_count) + " runs, more than the " +
+            std::to_string(r.remaining()) +
+            " bytes left can hold — the store is corrupt";
+      return false;
+    }
     for (const StoreSegment& prev : segments_) {
       if (prev.fingerprint == seg.fingerprint) {
         err = "'" + path + "': duplicate segment fingerprint " +
@@ -59,6 +84,13 @@ bool ResultStore::load(const std::string& path, std::string& err) {
       run.seed = seg.seed;
       run.instructions = seg.instructions;
       const std::uint64_t blob_len = r.u64();
+      if (blob_len > r.remaining()) {
+        err = "'" + path + "': run " + std::to_string(runs_.size()) +
+              " promises a " + std::to_string(blob_len) + "-byte blob, " +
+              "more than the " + std::to_string(r.remaining()) +
+              " bytes left — the store is corrupt";
+        return false;
+      }
       run.blob.resize(static_cast<std::size_t>(blob_len));
       r.bytes(run.blob.data(), run.blob.size());
       runs_.push_back(std::move(run));

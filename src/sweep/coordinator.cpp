@@ -128,7 +128,6 @@ std::string taskLabel(const sim::SuiteContext& ctx, std::uint32_t task) {
 }  // namespace
 
 void resolveSweepTuning(SweepOptions& sw) {
-  sw.task_timeout_ms = envOr("MALEC_TASK_TIMEOUT", sw.task_timeout_ms);
   sw.retries = envOr("MALEC_SWEEP_RETRIES", sw.retries);
   sw.backoff_ms = envOr("MALEC_SWEEP_BACKOFF_MS", sw.backoff_ms);
   checkRange(sw.task_timeout_ms, kMaxTaskTimeoutMs, "task timeout [ms]");
@@ -136,12 +135,6 @@ void resolveSweepTuning(SweepOptions& sw) {
   checkRange(sw.backoff_ms, kMaxBackoffMs, "sweep backoff [ms]");
   checkRange(sw.workers, kMaxWorkers, "worker count");
   MALEC_CHECK_MSG(sw.workers >= 1, "a sharded sweep needs at least 1 worker");
-}
-
-std::uint64_t gridFingerprint(const sim::SuiteContext& ctx) {
-  // One definition of grid identity for the whole repo: the journal, the
-  // result store and the explorer all bind to sim::gridFingerprint.
-  return sim::gridFingerprint(ctx);
 }
 
 int runWorkerTask(const sim::ExperimentSpec& spec,
@@ -176,7 +169,7 @@ int runWorkerTask(const sim::ExperimentSpec& spec,
   rc.seed = ctx.seed;
   const sim::RunOutput out = sim::runOne(rc);
 
-  writeResultFile(result_path, sweep::gridFingerprint(ctx), task, attempt, out);
+  writeResultFile(result_path, sim::gridFingerprint(ctx), task, attempt, out);
   maybeCorruptResult(faults, task, attempt, result_path);
   return 0;
 }
@@ -205,7 +198,7 @@ int runSuiteCoordinated(const sim::ExperimentSpec& spec,
   ctx.jobs = sweep.workers;
   ctx.sinks = sinks;
 
-  const std::uint64_t fingerprint = sweep::gridFingerprint(ctx);
+  const std::uint64_t fingerprint = sim::gridFingerprint(ctx);
   const std::uint64_t grid =
       static_cast<std::uint64_t>(ctx.workloads.size()) * ctx.configs.size();
   MALEC_CHECK_MSG(grid > 0, "cannot shard an empty grid");

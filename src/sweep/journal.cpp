@@ -23,45 +23,14 @@ constexpr std::size_t kHeaderBytes = 24;
 /// Frame overhead around a record payload: type(1) + length(4) + FNV(8).
 constexpr std::size_t kFrameBytes = 13;
 
-void putU32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 4);
-  put32(v.data() + at, x);
+/// Every record payload opens with (task, attempt); strings carry a u32
+/// length (docs/FILE_FORMATS.md, "Primitive encoding").
+binio::ByteWriter payloadOf(std::uint32_t task, std::uint32_t attempt) {
+  binio::ByteWriter p;
+  p.u32(task);
+  p.u32(attempt);
+  return p;
 }
-
-void putStr(std::vector<std::uint8_t>& v, const std::string& s) {
-  putU32(v, static_cast<std::uint32_t>(s.size()));
-  v.insert(v.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked payload reader for the scan side; any overrun flips
-/// `ok` and the caller reports the record as corrupt (the checksum already
-/// passed, so an overrun here means a buggy or incompatible producer).
-struct PayloadReader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t at = 0;
-  bool ok = true;
-
-  std::uint32_t u32() {
-    if (n - at < 4) { ok = false; return 0; }
-    const std::uint32_t v = get32(p + at);
-    at += 4;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!ok || n - at < len) { ok = false; return {}; }
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
-  std::vector<std::uint8_t> rest() {
-    std::vector<std::uint8_t> b(p + at, p + n);
-    at = n;
-    return b;
-  }
-};
 
 }  // namespace
 
@@ -133,35 +102,37 @@ JournalScan scanJournal(const std::string& path) {
     }
 
     JournalRecord rec;
-    PayloadReader pr{data.data() + at + 5, len};
+    binio::ByteReader pr(data.data() + at + 5, len);
     rec.task = pr.u32();
     rec.attempt = pr.u32();
     switch (type) {
       case static_cast<std::uint8_t>(RecordType::kGrant):
         rec.type = RecordType::kGrant;
         break;
-      case static_cast<std::uint8_t>(RecordType::kComplete):
+      case static_cast<std::uint8_t>(RecordType::kComplete): {
         rec.type = RecordType::kComplete;
-        rec.blob = pr.rest();
+        const std::size_t n = pr.remaining();
+        if (const std::uint8_t* q = pr.take(n)) rec.blob.assign(q, q + n);
         break;
+      }
       case static_cast<std::uint8_t>(RecordType::kFail): {
         rec.type = RecordType::kFail;
         const std::uint32_t kind = pr.u32();
-        if (kind < 1 || kind > 4) pr.ok = false;
+        if (kind < 1 || kind > 4) pr.fail();
         rec.fail_kind = static_cast<FailKind>(kind);
         rec.fail_code = pr.u32();
-        rec.message = pr.str();
+        rec.message = pr.str(pr.u32());
         break;
       }
       case static_cast<std::uint8_t>(RecordType::kQuarantine):
         rec.type = RecordType::kQuarantine;
-        rec.message = pr.str();
+        rec.message = pr.str(pr.u32());
         break;
       default:
-        pr.ok = false;
+        pr.fail();
         break;
     }
-    if (!pr.ok || (rec.type != RecordType::kComplete && pr.at != pr.n)) {
+    if (!pr.ok() || pr.remaining() != 0) {
       scan.error = "'" + path + "': record " +
                    std::to_string(scan.records.size()) +
                    " has a malformed payload — incompatible producer";
@@ -249,7 +220,7 @@ bool JournalWriter::reopen(const std::string& path, std::uint64_t valid_bytes,
 }
 
 void JournalWriter::append(RecordType type,
-                           const std::vector<std::uint8_t>& payload) {
+                           const binio::ByteWriter& payload) {
   MALEC_CHECK_MSG(f_ != nullptr, "journal writer is not open");
   // Frame = type + length header, the payload as is, then the FNV-1a of
   // header and payload — written in three pieces, without copying the
@@ -278,39 +249,30 @@ void JournalWriter::append(RecordType type,
 }
 
 void JournalWriter::grant(std::uint32_t task, std::uint32_t attempt) {
-  std::vector<std::uint8_t> p;
-  putU32(p, task);
-  putU32(p, attempt);
-  append(RecordType::kGrant, p);
+  append(RecordType::kGrant, payloadOf(task, attempt));
 }
 
 void JournalWriter::complete(std::uint32_t task, std::uint32_t attempt,
                              const std::vector<std::uint8_t>& blob) {
-  std::vector<std::uint8_t> p;
-  putU32(p, task);
-  putU32(p, attempt);
-  p.insert(p.end(), blob.begin(), blob.end());
+  binio::ByteWriter p = payloadOf(task, attempt);
+  p.bytes(blob.data(), blob.size());
   append(RecordType::kComplete, p);
 }
 
 void JournalWriter::fail(std::uint32_t task, std::uint32_t attempt,
                          FailKind kind, std::uint32_t code,
                          const std::string& message) {
-  std::vector<std::uint8_t> p;
-  putU32(p, task);
-  putU32(p, attempt);
-  putU32(p, static_cast<std::uint32_t>(kind));
-  putU32(p, code);
-  putStr(p, message);
+  binio::ByteWriter p = payloadOf(task, attempt);
+  p.u32(static_cast<std::uint32_t>(kind));
+  p.u32(code);
+  p.str32(message);
   append(RecordType::kFail, p);
 }
 
 void JournalWriter::quarantine(std::uint32_t task, std::uint32_t attempts,
                                const std::string& last_error) {
-  std::vector<std::uint8_t> p;
-  putU32(p, task);
-  putU32(p, attempts);
-  putStr(p, last_error);
+  binio::ByteWriter p = payloadOf(task, attempts);
+  p.str32(last_error);
   append(RecordType::kQuarantine, p);
 }
 

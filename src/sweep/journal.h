@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
+
 namespace malec::sweep {
 
 /// Magic bytes + version identifying a MALEC sweep journal ("MJNL").
@@ -68,7 +70,7 @@ struct JournalRecord {
 struct JournalScan {
   bool ok = false;
   std::string error;
-  std::uint64_t fingerprint = 0;  ///< grid identity (see gridFingerprint)
+  std::uint64_t fingerprint = 0;  ///< grid identity (sim::gridFingerprint)
   std::uint32_t task_count = 0;
   std::vector<JournalRecord> records;
   std::uint64_t valid_bytes = 0;
@@ -119,7 +121,7 @@ class JournalWriter {
   void close();
 
  private:
-  void append(RecordType type, const std::vector<std::uint8_t>& payload);
+  void append(RecordType type, const binio::ByteWriter& payload);
 
   std::FILE* f_ = nullptr;
   std::string path_;

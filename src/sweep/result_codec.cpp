@@ -1,7 +1,7 @@
 #include "sweep/result_codec.h"
 
-#include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "ckpt/state_io.h"
 #include "common/binio.h"
@@ -11,106 +11,49 @@ namespace malec::sweep {
 
 namespace {
 
-void putU32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 4);
-  binio::put32(v.data() + at, x);
-}
-
-void putU64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  const std::size_t at = v.size();
-  v.resize(at + 8);
-  binio::put64(v.data() + at, x);
-}
-
-void putF64(std::vector<std::uint8_t>& v, double x) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof x, "IEEE-754 double expected");
-  std::memcpy(&bits, &x, sizeof bits);
-  putU64(v, bits);
-}
-
-void putStr(std::vector<std::uint8_t>& v, const std::string& s) {
-  putU32(v, static_cast<std::uint32_t>(s.size()));
-  v.insert(v.end(), s.begin(), s.end());
-}
-
-struct BlobReader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t at = 0;
-  bool ok = true;
-
-  std::uint32_t u32() {
-    if (n - at < 4) { ok = false; return 0; }
-    const std::uint32_t v = binio::get32(p + at);
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (n - at < 8) { ok = false; return 0; }
-    const std::uint64_t v = binio::get64(p + at);
-    at += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!ok || n - at < len) { ok = false; return {}; }
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
-};
-
 constexpr std::size_t kIfcFields = std::size(core::kInterfaceCounterFields);
 constexpr std::size_t kCoreFields = std::size(cpu::kCoreScaledCounterFields);
 
 }  // namespace
 
 std::vector<std::uint8_t> encodeRunOutput(const sim::RunOutput& out) {
-  std::vector<std::uint8_t> b;
-  putStr(b, out.benchmark);
-  putStr(b, out.config);
-  putU64(b, out.cycles);
-  putU64(b, out.instructions);
-  putF64(b, out.ipc);
-  putF64(b, out.dynamic_pj);
-  putF64(b, out.leakage_pj);
-  putF64(b, out.total_pj);
-  putF64(b, out.way_coverage);
-  putF64(b, out.l1_load_miss_rate);
-  putF64(b, out.merged_load_fraction);
+  // Strings carry a u32 length (docs/FILE_FORMATS.md, "Primitive encoding").
+  binio::ByteWriter w;
+  w.str32(out.benchmark);
+  w.str32(out.config);
+  w.u64(out.cycles);
+  w.u64(out.instructions);
+  w.f64(out.ipc);
+  w.f64(out.dynamic_pj);
+  w.f64(out.leakage_pj);
+  w.f64(out.total_pj);
+  w.f64(out.way_coverage);
+  w.f64(out.l1_load_miss_rate);
+  w.f64(out.merged_load_fraction);
   // Field counts travel explicitly: a blob written by a build with a new
   // counter must fail a decode in an old build at the count, not shift
   // every later field.
-  putU32(b, static_cast<std::uint32_t>(kIfcFields));
-  for (const auto field : core::kInterfaceCounterFields)
-    putU64(b, out.ifc.*field);
-  putU64(b, out.core.cycles);
-  putU64(b, out.core.instructions);
-  putU32(b, static_cast<std::uint32_t>(kCoreFields));
+  w.u32(static_cast<std::uint32_t>(kIfcFields));
+  for (const auto field : core::kInterfaceCounterFields) w.u64(out.ifc.*field);
+  w.u64(out.core.cycles);
+  w.u64(out.core.instructions);
+  w.u32(static_cast<std::uint32_t>(kCoreFields));
   for (const auto field : cpu::kCoreScaledCounterFields)
-    putU64(b, out.core.*field);
-  putU32(b, static_cast<std::uint32_t>(out.energy_detail.all().size()));
+    w.u64(out.core.*field);
+  w.u32(static_cast<std::uint32_t>(out.energy_detail.all().size()));
   for (const auto& [name, value] : out.energy_detail.all()) {
-    putStr(b, name);
-    putF64(b, value);
+    w.str32(name);
+    w.f64(value);
   }
-  return b;
+  return std::move(w).take();
 }
 
 bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
                      sim::RunOutput& out, std::string& err) {
-  BlobReader r{p, n};
+  binio::ByteReader r(p, n);
   out = sim::RunOutput{};
-  out.benchmark = r.str();
-  out.config = r.str();
+  out.benchmark = r.str(r.u32());
+  out.config = r.str(r.u32());
   out.cycles = r.u64();
   out.instructions = r.u64();
   out.ipc = r.f64();
@@ -135,16 +78,16 @@ bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
   for (const auto field : cpu::kCoreScaledCounterFields)
     out.core.*field = r.u64();
   const std::uint32_t energy_entries = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < energy_entries; ++i) {
-    const std::string name = r.str();
+  for (std::uint32_t i = 0; r.ok() && i < energy_entries; ++i) {
+    const std::string name = r.str(r.u32());
     const double value = r.f64();
-    if (r.ok) out.energy_detail.set(name, value);
+    if (r.ok()) out.energy_detail.set(name, value);
   }
-  if (!r.ok) {
+  if (!r.ok()) {
     err = "result blob is truncated or malformed";
     return false;
   }
-  if (r.at != r.n) {
+  if (r.remaining() != 0) {
     err = "result blob has trailing bytes";
     return false;
   }
@@ -194,6 +137,12 @@ bool readResultFile(const std::string& path, std::uint64_t fingerprint,
   }
   r.openSection("run_output");
   const std::uint64_t len = r.u64();
+  if (len != r.remaining()) {
+    err = "'" + path + "': run_output blob length " + std::to_string(len) +
+          " disagrees with the " + std::to_string(r.remaining()) +
+          " bytes its section holds";
+    return false;
+  }
   blob.assign(static_cast<std::size_t>(len), 0);
   r.bytes(blob.data(), blob.size());
   r.endSection();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ckpt/state_io.h"
+#include "common/binio.h"
 #include "sim/differential.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
@@ -144,6 +145,81 @@ TEST(Checkpoint, StateIoRoundTrip) {
   std::remove(path.c_str());
 }
 
+// --- the shared byte codec under every StateIO file --------------------------
+
+TEST(ByteCodec, WriterKnownAnswerBytes) {
+  binio::ByteWriter w;
+  w.u8(0x7F);
+  w.u32(0xDEADBEEF);
+  w.u64(0);  // patched below
+  w.f64(1.0);
+  w.str32("ab");
+  w.str64("c");
+  w.patch64(5, 0x0123456789ABCDEFull);
+  const std::vector<std::uint8_t> want = {
+      0x7F,                                            // u8
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32, LE
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // patched u64, LE
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // f64 1.0, IEEE bits
+      0x02, 0x00, 0x00, 0x00, 'a',  'b',               // str32
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 'c'};  // str64
+  ASSERT_EQ(std::vector<std::uint8_t>(w.data(), w.data() + w.size()), want);
+
+  binio::ByteReader r(want.data(), want.size());
+  EXPECT_EQ(r.u8(), 0x7F);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.f64(), 1.0);
+  EXPECT_EQ(r.str(r.u32()), "ab");
+  EXPECT_EQ(r.str(r.u64()), "c");
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(ByteCodec, ReaderFailsAndStaysFailedOnTruncation) {
+  const std::uint8_t six[6] = {1, 0, 0, 0, 2, 0};
+  binio::ByteReader r(six, sizeof six);
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.u32(), 0u);  // 2 bytes left: fails, consumes nothing
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 2u);
+  // Sticky: the 2 bytes that are there are not served any more.
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_EQ(r.take(0), nullptr);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteCodec, LengthPastRemainingFailsWithoutAllocating) {
+  const std::uint8_t four[4] = {'a', 'b', 'c', 'd'};
+  // A forged 2^62 length would throw (or exhaust memory) if the reader
+  // sized anything by it before the check.
+  binio::ByteReader r(four, sizeof four);
+  EXPECT_EQ(r.str(std::uint64_t{1} << 62), "");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 4u);
+  binio::ByteReader b(four, sizeof four);
+  std::uint8_t dst[8] = {};
+  EXPECT_FALSE(b.bytes(dst, 5));
+  EXPECT_FALSE(b.ok());
+  EXPECT_EQ(dst[0], 0u);
+}
+
+TEST(CheckpointDeathTest, ForgedStringLengthAbortsAtTheSection) {
+  const std::string path = tmpPath("forgedstr.mckpt");
+  ckpt::StateWriter w;
+  w.beginSection("alpha");
+  w.u64(std::uint64_t{1} << 40);  // a str() length with no bytes behind it
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+  ckpt::StateReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("alpha");
+  EXPECT_EQ(r.remaining(), 8u);
+  EXPECT_DEATH((void)r.str(), "read past a section end");
+  std::remove(path.c_str());
+}
+
 // The determinism matrix, synthetic half: every Table-I preset, several
 // checkpoint boundaries. (The WDU variant rides along — it carries the one
 // piece of state no other preset exercises.)
@@ -206,21 +282,6 @@ TEST(Checkpoint, ResumeIsBitIdenticalUnderRunManyParallel) {
   const auto outs = runManyParallel({rc, resuming, resuming, rc}, 4);
   ASSERT_EQ(outs.size(), 4u);
   for (const auto& o : outs) expectBitIdentical(straight, o);
-  std::remove(ckpt.c_str());
-}
-
-TEST(Checkpoint, CkptEveryFallsBackToEnvVar) {
-  const std::string ckpt = tmpPath("env_ck.mckpt");
-  RunConfig rc = baseConfig("gcc", presetMalec(), 4'000);
-  rc.ckpt_out = ckpt;  // ckpt_every stays 0 -> MALEC_CKPT_EVERY decides
-  ASSERT_EQ(setenv("MALEC_CKPT_EVERY", "1500", 1), 0);
-  const RunOutput with_env = runOne(rc);
-  ASSERT_EQ(unsetenv("MALEC_CKPT_EVERY"), 0);
-  expectBitIdentical(runOne(baseConfig("gcc", presetMalec(), 4'000)),
-                     with_env);
-  RunConfig resuming = baseConfig("gcc", presetMalec(), 4'000);
-  resuming.start_ckpt = ckpt;
-  expectBitIdentical(with_env, runOne(resuming));
   std::remove(ckpt.c_str());
 }
 
@@ -411,7 +472,7 @@ TEST(CheckpointDeathTest, ForeignTraceBindingAborts) {
 TEST(CheckpointDeathTest, OutputPathWithoutIntervalAborts) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   rc.ckpt_out = tmpPath("nointerval.mckpt");
-  EXPECT_DEATH((void)runOne(rc), "needs an interval");
+  EXPECT_DEATH((void)runOne(rc), "needs an interval .* set ckpt_every");
 }
 
 TEST(CheckpointDeathTest, IntervalWithoutOutputPathAborts) {

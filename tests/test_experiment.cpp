@@ -49,8 +49,9 @@ TEST(Experiment, SeedChangesOutcome) {
 }
 
 TEST(Experiment, RunConfigsCoversAll) {
-  const auto outs = runConfigs(trace::workloadByName("eon"), fig4Configs(),
-                               10'000, 1);
+  const auto outs = runConfigsParallel(trace::workloadByName("eon"),
+                                       fig4Configs(), 10'000, 1,
+                                       /*jobs=*/1);
   ASSERT_EQ(outs.size(), 5u);
   EXPECT_EQ(outs[0].config, "Base1ldst");
   EXPECT_EQ(outs[1].config, "Base2ld1st_1cycleL1");
@@ -143,7 +144,7 @@ TEST(ExperimentDeathTest, ParseU64StrictRejectsGarbage) {
 TEST(Experiment, ParallelMatchesSerialBitForBit) {
   const auto wl = trace::workloadByName("gcc");
   const auto cfgs = fig4Configs();
-  const auto serial = runConfigs(wl, cfgs, 10'000, 3);
+  const auto serial = runConfigsParallel(wl, cfgs, 10'000, 3, /*jobs=*/1);
   const auto parallel = runConfigsParallel(wl, cfgs, 10'000, 3, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/state_io.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "sim/reporting.h"
@@ -189,6 +190,57 @@ TEST_F(StoreReject, MidFileCorruptionFailsChecksum) {
   std::string err;
   EXPECT_FALSE(rs.load(path_, err));
   EXPECT_NE(err.find("corrupt"), std::string::npos) << err;
+}
+
+/// A store whose counts are forged behind an honest checksum (the writer
+/// checksums whatever it is given): one segment "x" holding `seg_runs`
+/// runs, the first with a `blob_len` blob and no bytes behind it.
+void writeForgedStore(const std::string& path, std::uint32_t segment_count,
+                      std::uint64_t run_count, std::uint32_t seg_runs,
+                      std::uint64_t blob_len) {
+  ckpt::StateWriter w(kStoreMagic, kStoreVersion);
+  w.beginSection("store_meta");
+  w.u32(segment_count);
+  w.u64(run_count);
+  w.endSection();
+  w.beginSection("segments");
+  w.str("x");
+  w.u64(1);  // fingerprint
+  w.u64(2000);
+  w.u64(1);
+  w.u32(seg_runs);
+  w.u64(blob_len);
+  w.endSection();
+  w.beginSection("columns");
+  w.u64(run_count);
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+}
+
+TEST_F(StoreReject, ForgedCountsAreRejectedBeforeAllocating) {
+  struct Case {
+    std::uint32_t segment_count;
+    std::uint64_t run_count;
+    std::uint32_t seg_runs;
+    std::uint64_t blob_len;
+    const char* names;  ///< the forged count the message must name
+  };
+  const Case cases[] = {
+      {0xFFFFFFF0u, 1, 1, 0, "promises 4294967280 segments"},
+      {1, std::uint64_t{1} << 40, 1, 0, "and 1099511627776 runs"},
+      {1, 1, 0xFFFFFFFFu, 0, "segment 0 promises 4294967295 runs"},
+      {1, 1, 1, std::uint64_t{1} << 40, "1099511627776-byte blob"},
+  };
+  for (const Case& c : cases) {
+    writeForgedStore(path_, c.segment_count, c.run_count, c.seg_runs,
+                     c.blob_len);
+    ResultStore rs;
+    std::string err;
+    EXPECT_FALSE(rs.load(path_, err)) << c.names;
+    EXPECT_NE(err.find(c.names), std::string::npos) << err;
+    EXPECT_NE(err.find("the store is corrupt"), std::string::npos) << err;
+  }
 }
 
 TEST_F(StoreReject, MissingFile) {

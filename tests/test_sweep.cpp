@@ -275,6 +275,67 @@ TEST(ResultCodec, ResultFileRoundTripAndBindingChecks) {
   EXPECT_FALSE(readResultFile(path, 42, 3, 1, back, blob, err));
 }
 
+// The checksum only proves the bytes are the writer's: a result file whose
+// blob length was forged (with an honest checksum) is refused before the
+// blob is sized by it.
+TEST(ResultCodec, ForgedBlobLengthIsRejectedBeforeAllocating) {
+  const std::string path = tmpPath("forged.mres");
+  ckpt::StateWriter w;
+  w.beginSection("binding");
+  w.u64(42);
+  w.u32(3);
+  w.u32(1);
+  w.endSection();
+  w.beginSection("run_output");
+  w.u64(std::uint64_t{1} << 40);
+  const std::uint8_t few[16] = {};
+  w.bytes(few, sizeof few);
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+
+  sim::RunOutput back;
+  std::vector<std::uint8_t> blob;
+  EXPECT_FALSE(readResultFile(path, 42, 3, 1, back, blob, err));
+  EXPECT_NE(err.find("blob length 1099511627776"), std::string::npos) << err;
+  EXPECT_TRUE(blob.empty());
+  std::remove(path.c_str());
+}
+
+// Known-answer pins: the grid identity every journal, store and result file
+// binds to, and one journal frame's bytes. A change to either convention
+// orphans every artifact already on disk, so it must be deliberate.
+TEST(GridFingerprint, KnownAnswer) {
+  EXPECT_EQ(sim::gridFingerprintParts("fig4a", 20000, 7, {"gcc", "mcf"},
+                                      {"Base1ldst", "MALEC"}),
+            0x2109c9135d206ad3ull);
+  EXPECT_EQ(sim::gridFingerprintParts("", 0, 0, {}, {}),
+            0xcbf7a16bc31f675full);
+}
+
+TEST(Journal, FailFrameKnownAnswerBytes) {
+  const std::string path = tmpPath("kat.mjournal");
+  std::remove(path.c_str());
+  JournalWriter w;
+  std::string err;
+  ASSERT_TRUE(w.create(path, 0x1122334455667788ull, 4, err)) << err;
+  w.fail(3, 1, FailKind::kSignal, 9, "killed");
+  w.close();
+  const std::vector<std::uint8_t> want = {
+      0x03, 0x1a, 0x00, 0x00, 0x00,                    // type, length 26
+      0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // task, attempt
+      0x02, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,  // kind, code
+      0x06, 0x00, 0x00, 0x00,                          // u32 message length
+      'k',  'i',  'l',  'l',  'e',  'd',
+      0x66, 0x0a, 0x0c, 0x42, 0x76, 0x09, 0x6d, 0x51};  // FNV-1a tail
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> file(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_EQ(file.size(), kHeader + want.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(file.begin() + kHeader, file.end()),
+            want);
+}
+
 // --- fault-spec grammar -----------------------------------------------------
 
 TEST(FaultSpec, ParsesClausesAndMatchesAttemptWindows) {
@@ -307,7 +368,6 @@ TEST(FaultSpecDeathTest, MalformedSpecsAbort) {
 // --- strictly-parsed supervision knobs --------------------------------------
 
 TEST(SweepTuning, EnvFallbacksKeepDefaultsWhenUnsetOrZero) {
-  ::unsetenv("MALEC_TASK_TIMEOUT");
   ::unsetenv("MALEC_SWEEP_RETRIES");
   ::unsetenv("MALEC_SWEEP_BACKOFF_MS");
   SweepOptions sw;
@@ -316,29 +376,32 @@ TEST(SweepTuning, EnvFallbacksKeepDefaultsWhenUnsetOrZero) {
   EXPECT_EQ(sw.retries, 2u);
   EXPECT_EQ(sw.backoff_ms, 250u);
 
-  ::setenv("MALEC_TASK_TIMEOUT", "5000", 1);
   ::setenv("MALEC_SWEEP_RETRIES", "7", 1);
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "0", 1);
   resolveSweepTuning(sw);
-  EXPECT_EQ(sw.task_timeout_ms, 5000u);
   EXPECT_EQ(sw.retries, 7u);
-  ::unsetenv("MALEC_TASK_TIMEOUT");
+  EXPECT_EQ(sw.backoff_ms, 250u);
   ::unsetenv("MALEC_SWEEP_RETRIES");
+  ::unsetenv("MALEC_SWEEP_BACKOFF_MS");
 }
 
 TEST(SweepTuningDeathTest, RejectsNonNumericAndOutOfRangeKnobs) {
   SweepOptions sw;
   // atoll would read "1e3" as 1 and "0x10" as 0 — the silent acceptance
   // class strict parsing exists to kill.
-  ::setenv("MALEC_TASK_TIMEOUT", "1e3", 1);
-  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_TASK_TIMEOUT");
-  ::setenv("MALEC_TASK_TIMEOUT", "0x10", 1);
-  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_TASK_TIMEOUT");
-  ::setenv("MALEC_TASK_TIMEOUT", "86400001", 1);  // kMaxTaskTimeoutMs + 1
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "1e3", 1);
+  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_SWEEP_BACKOFF_MS");
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "0x10", 1);
+  EXPECT_DEATH(resolveSweepTuning(sw), "MALEC_SWEEP_BACKOFF_MS");
+  ::setenv("MALEC_SWEEP_BACKOFF_MS", "600001", 1);  // kMaxBackoffMs + 1
   EXPECT_DEATH(resolveSweepTuning(sw), "exceeds the supported range");
-  ::unsetenv("MALEC_TASK_TIMEOUT");
+  ::unsetenv("MALEC_SWEEP_BACKOFF_MS");
   ::setenv("MALEC_SWEEP_RETRIES", "101", 1);  // kMaxRetries + 1
   EXPECT_DEATH(resolveSweepTuning(sw), "exceeds the supported range");
   ::unsetenv("MALEC_SWEEP_RETRIES");
+  // --task-timeout sets the field directly; the range check still holds.
+  sw.task_timeout_ms = kMaxTaskTimeoutMs + 1;
+  EXPECT_DEATH(resolveSweepTuning(sw), "exceeds the supported range");
 }
 
 // --- StateWriter stale-temp reaping (satellite of this PR) ------------------

@@ -251,7 +251,8 @@ TEST(TraceReplay, SuiteThroughSinksMatchesSyntheticRunBitForBit) {
   // Expected tables, built from direct synthetic runs of the same grid.
   const std::vector<core::InterfaceConfig> cfgs = {
       presetBase1ldst(), presetBase2ld1st(), presetMalec()};
-  const auto outs = runConfigs(trace::workloadByName("gcc"), cfgs, n, 1);
+  const auto outs = runConfigsParallel(trace::workloadByName("gcc"), cfgs, n,
+                                       1, /*jobs=*/1);
   std::vector<std::string> cols;
   for (const auto& c : cfgs) cols.push_back(c.name);
   const std::string label = "trace:" + path;  // ad-hoc names keep the path

@@ -10,31 +10,14 @@
 //   malec_bench --json PATH                 JSON-lines output file ('-' = stdout)
 //   malec_bench --instr N --seed N --jobs N budget / seed / worker overrides
 //
-// Fault-tolerant process sharding (docs/ARCHITECTURE.md, "Fault-tolerance
-// contract"): one suite's grid spread over supervised worker PROCESSES
-// with a crash-resumable journal —
-//
-//   malec_bench --suite fig4a --workers 4 --journal sweep.mjournal
-//   malec_bench --suite fig4a --workers 4 --resume sweep.mjournal
-//   malec_bench ... --task-timeout 60000      per-task SIGKILL timeout [ms]
-//
-// (--worker is the internal per-task entry the coordinator fork/execs;
-// MALEC_SWEEP_RETRIES / MALEC_SWEEP_BACKOFF_MS tune supervision,
-// MALEC_FAULT_SPEC injects deterministic faults for tests.)
-//
 // Result store (docs/FILE_FORMATS.md, ".mstore v1"): every sink run can
-// land durably in a queryable store, and three subcommands work on it —
+// land durably in a queryable store, and the query subcommand reads it —
 //
 //   malec_bench --suite fig4a --sink store --store results.mstore
-//   malec_bench merge --suite fig4a --journal sweep.mjournal
-//                     --store results.mstore      sweep artifacts -> store
 //   malec_bench query --store results.mstore
 //                     [--select COLS] [--where-suite/-workload/-config SUB]
 //                     [--seed N] [--sort COL [--desc]] [--group-geomean]
 //                     [--limit N] [--format table|json]
-//   malec_bench explore --suite fig4a --store ex.mstore
-//                       [--objective ipc,energy] [--rounds N] [--batch N]
-//                       [--resume]                adaptive Pareto search
 //
 // Defaults: console table sink (--csv-dir adds a CSV sink, --store a store
 // sink); MALEC_INSTR and MALEC_JOBS keep working unless --instr / --jobs
@@ -44,8 +27,6 @@
 // Table-I interfaces (capture files with `trace_tools gen`), and
 // `--suite phase_sampled` compares sampled vs full replay for captures
 // with a `.mplan` sidecar (write plans with `trace_tools phases`).
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -55,13 +36,10 @@
 #include <string>
 #include <vector>
 
-#include "explore/explorer.h"
 #include "sim/suite.h"
 #include "store/query.h"
 #include "store/result_store.h"
 #include "store/store_sink.h"
-#include "sweep/coordinator.h"
-#include "store/store_merge.h"
 
 namespace {
 
@@ -73,35 +51,13 @@ int usage(const char* argv0, int code) {
                "          [--sink table|csv|json|store]... [--csv-dir DIR]\n"
                "          [--json PATH] [--store PATH]\n"
                "          [--instr N] [--seed N] [--jobs N]\n"
-               "          [--workers N --journal PATH | --resume PATH]\n"
-               "          [--task-timeout MS]\n"
                "       %s query --store PATH [--select COL,...]\n"
                "          [--where-suite SUB] [--where-workload SUB]\n"
                "          [--where-config SUB] [--seed N] [--sort COL]\n"
                "          [--desc] [--group-geomean] [--limit N]\n"
-               "          [--format table|json]\n"
-               "       %s merge --suite NAME --store PATH\n"
-               "          [--journal PATH] [--mres PATH]...\n"
-               "          [--filter SUB] [--instr N] [--seed N]\n"
-               "       %s explore --suite NAME --store PATH\n"
-               "          [--objective ipc,energy|...] [--rounds N]\n"
-               "          [--batch N] [--resume] [--filter SUB]\n"
-               "          [--instr N] [--seed N] [--jobs N]\n",
-               argv0, argv0, argv0, argv0);
+               "          [--format table|json]\n",
+               argv0, argv0);
   return code;
-}
-
-/// Path of this very binary, for the coordinator to fork/exec workers —
-/// /proc/self/exe is immune to cwd changes and PATH games; argv[0] is the
-/// fallback for exotic mounts.
-std::string selfPath(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
 }
 
 void listSpecs() {
@@ -117,7 +73,7 @@ void listSpecs() {
       sim::workloadRegistry().size(), sim::presetRegistry().size());
 }
 
-/// Shared "--flag needs a value" helper for the subcommand parsers.
+/// "--flag needs a value": the flag's argument, or a usage error.
 const char* needValueAt(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     std::fprintf(stderr, "%s requires a value\n", argv[i]);
@@ -127,7 +83,7 @@ const char* needValueAt(int argc, char** argv, int& i) {
 }
 
 /// Split a comma list strictly: empty items ("a,,b", trailing comma) are
-/// hard errors, matching the explorer's objective parsing.
+/// hard errors.
 std::vector<std::string> splitCommaList(const std::string& s,
                                         const char* what) {
   std::vector<std::string> out;
@@ -204,111 +160,13 @@ int cmdQuery(int argc, char** argv) {
   return 0;
 }
 
-/// `malec_bench merge`: sweep artifacts (journal and/or .mres files) ->
-/// one store segment, nothing re-run.
-int cmdMerge(int argc, char** argv) {
-  std::string suite, store_path, journal;
-  std::vector<std::string> mres;
-  sim::SuiteOptions opts;
-  opts.progress = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--suite") {
-      suite = needValueAt(argc, argv, i);
-    } else if (arg == "--store") {
-      store_path = needValueAt(argc, argv, i);
-    } else if (arg == "--journal") {
-      journal = needValueAt(argc, argv, i);
-    } else if (arg == "--mres") {
-      mres.push_back(needValueAt(argc, argv, i));
-    } else if (arg == "--filter") {
-      opts.workload_filter = needValueAt(argc, argv, i);
-    } else if (arg == "--instr") {
-      opts.instructions =
-          sim::parseU64Strict(needValueAt(argc, argv, i), "--instr");
-    } else if (arg == "--seed") {
-      opts.seed = sim::parseU64Strict(needValueAt(argc, argv, i), "--seed");
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(argv[0], 0);
-    } else {
-      std::fprintf(stderr, "merge: unknown option '%s'\n", argv[i]);
-      return usage(argv[0], 2);
-    }
-  }
-  if (suite.empty() || store_path.empty()) {
-    std::fprintf(stderr, "merge needs --suite NAME and --store PATH\n");
-    return 2;
-  }
-  const sim::ExperimentSpec* spec = sim::specRegistry().tryGet(suite);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "merge: unknown suite '%s'\n", suite.c_str());
-    return 1;
-  }
-  sweep::mergeIntoStore(*spec, opts, journal, mres, store_path);
-  return 0;
-}
-
-/// `malec_bench explore`: adaptive Pareto search over the MALEC axes.
-int cmdExplore(int argc, char** argv) {
-  explore::ExploreOptions ex;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--suite") {
-      ex.suite = needValueAt(argc, argv, i);
-    } else if (arg == "--store") {
-      ex.store = needValueAt(argc, argv, i);
-    } else if (arg == "--objective") {
-      ex.objectives = needValueAt(argc, argv, i);
-    } else if (arg == "--rounds") {
-      ex.rounds = sim::parseU64Strict(needValueAt(argc, argv, i), "--rounds");
-    } else if (arg == "--batch") {
-      ex.batch = sim::parseU64Strict(needValueAt(argc, argv, i), "--batch");
-    } else if (arg == "--resume") {
-      ex.resume = true;
-    } else if (arg == "--filter") {
-      ex.workload_filter = needValueAt(argc, argv, i);
-    } else if (arg == "--instr") {
-      ex.instructions =
-          sim::parseU64Strict(needValueAt(argc, argv, i), "--instr");
-    } else if (arg == "--seed") {
-      ex.seed = sim::parseU64Strict(needValueAt(argc, argv, i), "--seed");
-    } else if (arg == "--jobs") {
-      const std::uint64_t jobs =
-          sim::parseU64Strict(needValueAt(argc, argv, i), "--jobs");
-      if (jobs > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "--jobs %llu exceeds the supported range\n",
-                     static_cast<unsigned long long>(jobs));
-        return 2;
-      }
-      ex.jobs = static_cast<unsigned>(jobs);
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(argv[0], 0);
-    } else {
-      std::fprintf(stderr, "explore: unknown option '%s'\n", argv[i]);
-      return usage(argv[0], 2);
-    }
-  }
-  if (ex.suite.empty() || ex.store.empty()) {
-    std::fprintf(stderr, "explore needs --suite NAME and --store PATH\n");
-    return 2;
-  }
-  sim::ConsoleSink console;
-  std::vector<sim::ResultSink*> sinks = {&console};
-  return explore::runExplore(ex, sinks);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Subcommand dispatch first: `query` / `merge` / `explore` have their
-  // own flag sets (a flag-style first arg falls through to the classic
-  // suite-runner parser).
+  // Subcommand dispatch first: `query` has its own flag set (a flag-style
+  // first arg falls through to the suite-runner parser).
   if (argc >= 2 && std::strcmp(argv[1], "query") == 0)
     return cmdQuery(argc, argv);
-  if (argc >= 2 && std::strcmp(argv[1], "merge") == 0)
-    return cmdMerge(argc, argv);
-  if (argc >= 2 && std::strcmp(argv[1], "explore") == 0)
-    return cmdExplore(argc, argv);
   bool list = false, all = false;
   bool want_table = false, want_csv = false, want_json = false;
   bool want_store = false;
@@ -316,22 +174,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> suites;
   sim::SuiteOptions opts;
 
-  // Sweep-coordinator / worker-mode state.
-  bool worker_mode = false;
-  bool have_task = false, have_result = false;
-  std::uint32_t worker_task = 0, worker_attempt = 0;
-  std::string worker_result;
-  sweep::SweepOptions sweep_opts;
-  bool want_workers = false, want_journal = false, want_resume = false;
-  bool want_timeout = false;
-
-  auto needValue = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s requires a value\n", argv[i]);
-      std::exit(usage(argv[0], 2));
-    }
-    return argv[++i];
-  };
+  auto needValue = [&](int& i) { return needValueAt(argc, argv, i); };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -375,38 +218,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.jobs = static_cast<unsigned>(jobs);
-    } else if (arg == "--workers") {
-      const std::uint64_t w = sim::parseU64Strict(needValue(i), "--workers");
-      if (w == 0 || w > sweep::kMaxWorkers) {
-        std::fprintf(stderr, "--workers must be in [1, %llu]\n",
-                     static_cast<unsigned long long>(sweep::kMaxWorkers));
-        return 2;
-      }
-      sweep_opts.workers = static_cast<unsigned>(w);
-      want_workers = true;
-    } else if (arg == "--journal") {
-      sweep_opts.journal = needValue(i);
-      want_journal = true;
-    } else if (arg == "--resume") {
-      sweep_opts.journal = needValue(i);
-      sweep_opts.resume = true;
-      want_resume = true;
-    } else if (arg == "--task-timeout") {
-      sweep_opts.task_timeout_ms =
-          sim::parseU64Strict(needValue(i), "--task-timeout");
-      want_timeout = true;
-    } else if (arg == "--worker") {
-      worker_mode = true;
-    } else if (arg == "--task") {
-      worker_task = static_cast<std::uint32_t>(
-          sim::parseU64Strict(needValue(i), "--task"));
-      have_task = true;
-    } else if (arg == "--attempt") {
-      worker_attempt = static_cast<std::uint32_t>(
-          sim::parseU64Strict(needValue(i), "--attempt"));
-    } else if (arg == "--result") {
-      worker_result = needValue(i);
-      have_result = true;
     } else if (arg == "--help" || arg == "-h") {
       return usage(argv[0], 0);
     } else {
@@ -420,59 +231,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --- internal worker mode -------------------------------------------------
-  // The coordinator fork/execs `malec_bench --worker --suite S --task K
-  // --attempt A --result PATH [--instr N --seed N --filter SUB]`: run ONE
-  // grid cell with the exact RunConfig the in-process matrix would build
-  // and hand the RunOutput back through a checksummed result file.
-  if (worker_mode) {
-    if (suites.size() != 1 || !have_task || !have_result || all) {
-      std::fprintf(stderr,
-                   "--worker needs exactly one --suite plus --task and "
-                   "--result (coordinator-internal mode)\n");
-      return 2;
-    }
-    const sim::ExperimentSpec* spec = sim::specRegistry().tryGet(suites[0]);
-    if (spec == nullptr) {
-      std::fprintf(stderr, "worker: unknown suite '%s'\n", suites[0].c_str());
-      return 1;
-    }
-    opts.progress = false;
-    return sweep::runWorkerTask(*spec, opts, worker_task, worker_attempt,
-                                worker_result);
-  }
-  if (have_task || have_result) {
-    std::fprintf(stderr, "--task/--attempt/--result need --worker\n");
-    return 2;
-  }
-
-  // --- sharded-sweep flag validation ----------------------------------------
-  const bool sharded = want_workers || want_journal || want_resume;
-  if (want_timeout && !sharded) {
-    std::fprintf(stderr,
-                 "--task-timeout only applies to sharded sweeps "
-                 "(--workers/--journal/--resume)\n");
-    return 2;
-  }
-  if (sharded) {
-    if (want_journal && want_resume) {
-      std::fprintf(stderr, "--journal and --resume are mutually exclusive "
-                           "(--resume names the journal)\n");
-      return 2;
-    }
-    if (!want_journal && !want_resume) {
-      std::fprintf(stderr,
-                   "--workers needs a journal: add --journal PATH (fresh "
-                   "sweep) or --resume PATH (continue a crashed one)\n");
-      return 2;
-    }
-    if (all || suites.size() != 1) {
-      std::fprintf(stderr,
-                   "a sharded sweep coordinates exactly one --suite "
-                   "(the journal binds to one grid)\n");
-      return 2;
-    }
-  }
   if (all) {
     // --all means "everything runnable": a suite whose preconditions this
     // sweep cannot meet is skipped with a note, never a mid-run abort.
@@ -585,18 +343,10 @@ int main(int argc, char** argv) {
   std::vector<sim::ResultSink*> sinks;
   for (const auto& s : owned) sinks.push_back(s.get());
 
-  int code = 0;
-  if (sharded) {
-    sweep::resolveSweepTuning(sweep_opts);
-    sweep_opts.worker_path = selfPath(argv[0]);
-    code = sweep::runSuiteCoordinated(sim::specRegistry().get(suites[0]), opts,
-                                      sweep_opts, sinks);
-  } else {
-    for (const auto& name : suites)
-      sim::runSuite(sim::specRegistry().get(name), opts, sinks);
-  }
+  for (const auto& name : suites)
+    sim::runSuite(sim::specRegistry().get(name), opts, sinks);
 
   owned.clear();
   if (json_file != nullptr) std::fclose(json_file);
-  return code;
+  return 0;
 }

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Pinned-budget performance smoke: times a fig4a sweep, a trace replay and
-# a checkpoint save/resume pass (-> BENCH_ckpt.json), the process-sharded
-# coordinator against the same in-process grid (-> BENCH_sweep.json
-# beside it), the `.mstore` result-store append + query path
-# (-> BENCH_store.json), single-run core throughput over the Table-I
-# configs (-> BENCH_core.json, the hot-loop overhaul's gate), and a
-# full-tree malec_lint pass (-> BENCH_lint.json) — so perf regressions,
-# coordinator overhead, store overhead and developer-loop lint cost all
-# show up as diffable artifacts instead of anecdotes.
+# a checkpoint save/resume pass (-> BENCH_ckpt.json), the `.mstore`
+# result-store append + query path (-> BENCH_store.json beside it),
+# single-run core throughput over the Table-I configs (-> BENCH_core.json,
+# the hot-loop overhaul's gate), and a full-tree malec_lint pass
+# (-> BENCH_lint.json) — so perf regressions, store overhead and
+# developer-loop lint cost all show up as diffable artifacts instead of
+# anecdotes.
 # scripts/bench_compare.sh diffs these against bench/baselines/ in CI.
 #
 # Usage: scripts/perf_smoke.sh <build-dir> [out.json]
@@ -66,37 +65,18 @@ diff "$workdir/full.txt" "$workdir/resumed.txt" > /dev/null || {
   exit 1
 }
 
-# 4. coordinator overhead: the same small grid in-process vs sharded
-#    across worker processes. The two reports must byte-diff clean (the
-#    fault-tolerance contract) and the timing delta IS the coordinator's
-#    price — fork/exec, journal fsyncs, result-file round trips.
-sweep_workers=2
-t0="$(now)"
-MALEC_INSTR="$instr" "$build_dir/malec_bench" --suite fig4a --filter gcc \
-  --jobs "$sweep_workers" > "$workdir/sweep_inproc.txt"
-t1="$(now)"
-sweep_inproc_s="$(elapsed "$t0" "$t1")"
-
-t0="$(now)"
-MALEC_INSTR="$instr" "$build_dir/malec_bench" --suite fig4a --filter gcc \
-  --workers "$sweep_workers" --journal "$workdir/perf.mjournal" \
-  > "$workdir/sweep_coord.txt"
-t1="$(now)"
-sweep_coord_s="$(elapsed "$t0" "$t1")"
-
-diff "$workdir/sweep_inproc.txt" "$workdir/sweep_coord.txt" > /dev/null || {
-  echo "perf_smoke: coordinated sweep differs from the in-process run" >&2
-  exit 1
-}
-
-# 5. result store: the same grid once more with a store sink (the timing
-#    delta vs sweep_inproc_s is the append price: encode + index + atomic
-#    rewrite), then a batch of queries over the written store (load +
-#    validate + select/sort dominate; each query is a fresh process).
+# 4. result store: a small grid with a store sink (encode + index +
+#    atomic rewrite on top of the simulation), whose report must byte-diff
+#    clean against the same grid without the store, then a batch of
+#    queries over the written store (load + validate + select/sort
+#    dominate; each query is a fresh process).
+sweep_jobs=2
 query_iters=10
+MALEC_INSTR="$instr" "$build_dir/malec_bench" --suite fig4a --filter gcc \
+  --jobs "$sweep_jobs" > "$workdir/sweep_inproc.txt"
 t0="$(now)"
 MALEC_INSTR="$instr" "$build_dir/malec_bench" --suite fig4a --filter gcc \
-  --jobs "$sweep_workers" --sink table --sink store \
+  --jobs "$sweep_jobs" --sink table --sink store \
   --store "$workdir/perf.mstore" > "$workdir/sweep_store.txt"
 t1="$(now)"
 store_write_s="$(elapsed "$t0" "$t1")"
@@ -128,19 +108,6 @@ JSON
 echo "perf_smoke: wrote $out"
 cat "$out"
 
-sweep_out="$(dirname "$out")/BENCH_sweep.json"
-cat > "$sweep_out" <<JSON
-{
-  "bench": "sweep_coordinator_overhead",
-  "budgets": {"fig4a_instr": $instr, "workers": $sweep_workers,
-              "grid": "fig4a --filter gcc (1 workload x 5 configs)"},
-  "inprocess_s": $sweep_inproc_s,
-  "coordinated_s": $sweep_coord_s
-}
-JSON
-echo "perf_smoke: wrote $sweep_out"
-cat "$sweep_out"
-
 store_out="$(dirname "$out")/BENCH_store.json"
 cat > "$store_out" <<JSON
 {
@@ -154,7 +121,7 @@ JSON
 echo "perf_smoke: wrote $store_out"
 cat "$store_out"
 
-# 6. core single-run throughput: one long synthetic run per Table-I
+# 5. core single-run throughput: one long synthetic run per Table-I
 #    config, no sweep/store machinery in the way — this is the number the
 #    hot-loop overhaul (calendar exec queue, arena ROB, SoA scans,
 #    translation memo) moves, and the one its baseline gates. The budget
@@ -185,7 +152,7 @@ JSON
 echo "perf_smoke: wrote $core_out"
 cat "$core_out"
 
-# 7. static-analysis throughput: one full-tree malec_lint pass (every
+# 6. static-analysis throughput: one full-tree malec_lint pass (every
 #    rule family + schema extraction over src/ + tools/ + bench/). The
 #    lint runs on every CI build and before every commit, so its wall
 #    clock is a developer-loop cost worth gating like the simulator's.

@@ -130,9 +130,9 @@ bool StateWriter::writeTo(const std::string& path, std::string& err) const {
   // the same checkpoint (e.g. parallel first-runs populating one warmup
   // cache) would interleave writes into one inode and expose a torn file
   // under `path`; with unique temps the last atomic rename simply wins.
-  // A worker SIGKILLed mid-write (sweep supervision does exactly that on
-  // timeouts) leaves its unique temp behind forever — sweep one up per
-  // write so checkpoint directories do not accumulate dead `.tmp.*` files.
+  // A process killed mid-write leaves its unique temp behind forever —
+  // sweep one up per write so checkpoint directories do not accumulate
+  // dead `.tmp.*` files.
   removeStaleTemps(path);
   static std::atomic<std::uint64_t> temp_serial{0};
   const std::string tmp =

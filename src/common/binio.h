@@ -1,7 +1,7 @@
 // Little-endian byte codec and the checksums of the on-disk formats (see
 // docs/FILE_FORMATS.md): ByteWriter/ByteReader, the one encoder and the one
 // bounded decoder of every binary payload (.mckpt and the other StateIO
-// files, result blobs, journal records, binding hashes); FNV-1a; and the
+// files, result blobs, binding hashes); FNV-1a; and the
 // trace v3 record fold. One definition keeps the formats' byte order and
 // checksum functions in lockstep: .mplan binding validation and checkpoint
 // source sections cross-reference the trace record checksum, so the trace

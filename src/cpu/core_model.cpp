@@ -1,6 +1,7 @@
 #include "cpu/core_model.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <iterator>
 #include <utility>
 
@@ -369,8 +370,19 @@ void CoreModel::loadState(ckpt::StateReader& r) {
   for (std::uint64_t i = 0; i < producers; ++i) {
     const SeqNum seq = r.u64();
     MALEC_CHECK_MSG(inRob(seq), "dependency producer outside the ROB");
+    // A forged count must fail here, before it sizes the list: each
+    // dependency is one u64, so the section's bytes left bound it.
+    const std::uint64_t n = r.u64();
+    if (n > r.remaining() / 8) {
+      char msg[128];
+      std::snprintf(msg, sizeof msg,
+                    "dependency count %llu exceeds the %zu bytes left in "
+                    "the core section",
+                    static_cast<unsigned long long>(n), r.remaining());
+      MALEC_CHECK_MSG(false, msg);
+    }
     std::vector<SeqNum>& deps = entry(seq).deps;
-    deps.resize(static_cast<std::size_t>(r.u64()));
+    deps.resize(static_cast<std::size_t>(n));
     for (SeqNum& d : deps) d = r.u64();
   }
   ready_exec_.clear();

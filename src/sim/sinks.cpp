@@ -1,11 +1,5 @@
 #include "sim/sinks.h"
 
-#include <unistd.h>
-
-#include <cstdlib>
-
-#include "sim/experiment.h"
-
 namespace malec::sim {
 
 namespace {
@@ -17,19 +11,6 @@ std::string jsonNumber(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.10g", v);
   return buf;
-}
-
-/// MALEC_SINK_FSYNC: fsync the JSON-lines stream after every record.
-/// Strictly parsed like every knob; unset, empty or "0" = off. For
-/// consumers that tail the stream across coordinator crashes and cannot
-/// afford to lose acknowledged records to the page cache.
-bool sinkFsyncEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("MALEC_SINK_FSYNC");
-    if (env == nullptr || env[0] == '\0') return false;
-    return parseU64Strict(env, "MALEC_SINK_FSYNC") > 0;
-  }();
-  return enabled;
 }
 
 }  // namespace
@@ -92,14 +73,10 @@ void JsonLinesSink::writeLine(const std::string& line) {
   }
   if (out_ != nullptr) {
     std::fprintf(out_, "%s\n", line.c_str());
-    // JSON lines is the machine-consumed stream: a crash (or a sweep
-    // worker SIGKILLed by supervision) must never truncate it mid-record,
-    // so every line leaves the stdio buffer immediately. A consumer then
-    // sees only whole records, the journal-style property resume relies
-    // on. fsync is opt-in: full durability costs a disk round-trip per
-    // line.
+    // JSON lines is the machine-consumed stream: a crash must never
+    // truncate it mid-record, so every line leaves the stdio buffer
+    // immediately and a consumer tailing it sees only whole records.
     std::fflush(out_);
-    if (sinkFsyncEnabled()) ::fsync(::fileno(out_));
   }
 }
 

@@ -126,8 +126,10 @@ Table buildTable(const TableSpec& ts, const SuiteContext& ctx) {
   return t;
 }
 
-}  // namespace
-
+/// Resolve the suite's options, workloads and configurations — everything
+/// runSuite does BEFORE any simulation: budget/seed/jobs fallbacks,
+/// workload resolution + filtering (sampled sidecars validated up front),
+/// the empty-filter-match hard error and the config-set factory.
 void resolveSuiteContext(SuiteContext& ctx) {
   const ExperimentSpec& spec = ctx.spec;
   const SuiteOptions& opts = ctx.opts;
@@ -159,18 +161,18 @@ void resolveSuiteContext(SuiteContext& ctx) {
   if (spec.configs) ctx.configs = spec.configs();
 }
 
-SuiteInfo suiteInfo(const SuiteContext& ctx) {
-  SuiteInfo info;
-  info.name = ctx.spec.name;
-  info.title = ctx.spec.title;
-  info.instructions = ctx.instructions;
-  info.seed = ctx.seed;
-  info.jobs = ctx.jobs;
-  // Custom suites run their own sweeps — there is no (workload x config)
-  // grid to bind a fingerprint to.
-  if (ctx.spec.configs) info.fingerprint = gridFingerprint(ctx);
-  return info;
+/// gridFingerprintParts over a resolved SuiteContext.
+std::uint64_t gridFingerprint(const SuiteContext& ctx) {
+  std::vector<std::string> wls, cfgs;
+  wls.reserve(ctx.workloads.size());
+  for (const auto& wl : ctx.workloads) wls.push_back(wl.name);
+  cfgs.reserve(ctx.configs.size());
+  for (const auto& cfg : ctx.configs) cfgs.push_back(cfg.name);
+  return gridFingerprintParts(ctx.spec.name, ctx.instructions, ctx.seed, wls,
+                              cfgs);
 }
+
+}  // namespace
 
 std::uint64_t gridFingerprintParts(
     const std::string& suite, std::uint64_t instructions, std::uint64_t seed,
@@ -193,44 +195,25 @@ std::uint64_t gridFingerprintParts(
   return w.fnv1a();
 }
 
-std::uint64_t gridFingerprint(const SuiteContext& ctx) {
-  std::vector<std::string> wls, cfgs;
-  wls.reserve(ctx.workloads.size());
-  for (const auto& wl : ctx.workloads) wls.push_back(wl.name);
-  cfgs.reserve(ctx.configs.size());
-  for (const auto& cfg : ctx.configs) cfgs.push_back(cfg.name);
-  return gridFingerprintParts(ctx.spec.name, ctx.instructions, ctx.seed, wls,
-                              cfgs);
-}
-
-void emitRunResults(SuiteContext& ctx) {
-  for (std::size_t w = 0; w < ctx.results.size(); ++w) {
-    for (std::size_t c = 0; c < ctx.results[w].size(); ++c) {
-      const RunRecord rec{ctx.workloads[w].name, ctx.configs[c].name,
-                          ctx.results[w][c]};
-      for (ResultSink* s : ctx.sinks) s->runResult(rec);
-    }
-  }
-}
-
-void emitSuiteTables(SuiteContext& ctx) {
-  for (const TableSpec& ts : ctx.spec.tables)
-    ctx.emitTable(buildTable(ts, ctx), ts.name, ts.precision);
-  if (!ctx.spec.paper_anchor.empty()) ctx.emitText(ctx.spec.paper_anchor + "\n");
-}
-
 void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
               const std::vector<ResultSink*>& sinks) {
   SuiteContext ctx{spec, opts};
   resolveSuiteContext(ctx);
   ctx.sinks = sinks;
 
-  const SuiteInfo info = suiteInfo(ctx);
+  SuiteInfo info;
+  info.name = spec.name;
+  info.title = spec.title;
+  info.instructions = ctx.instructions;
+  info.seed = ctx.seed;
+  info.jobs = ctx.jobs;
+  // Custom suites run their own sweeps — there is no (workload x config)
+  // grid to bind a fingerprint to.
+  if (spec.configs) info.fingerprint = gridFingerprint(ctx);
   for (ResultSink* s : sinks) s->beginSuite(info);
 
   if (spec.custom) {
     spec.custom(ctx);
-    if (!spec.paper_anchor.empty()) ctx.emitText(spec.paper_anchor + "\n");
   } else {
     MALEC_CHECK_MSG(spec.configs != nullptr,
                     "spec without custom body needs a configuration set");
@@ -240,9 +223,19 @@ void runSuite(const ExperimentSpec& spec, const SuiteOptions& opts,
     ctx.results = runMatrixParallel(ctx.workloads, ctx.configs,
                                     ctx.instructions, ctx.seed, ctx.jobs);
     ctx.progressDots();
-    emitRunResults(ctx);
-    emitSuiteTables(ctx);
+    // Every grid cell to the durable sinks, in matrix order
+    // (workload-major), then the tables.
+    for (std::size_t w = 0; w < ctx.results.size(); ++w) {
+      for (std::size_t c = 0; c < ctx.results[w].size(); ++c) {
+        const RunRecord rec{ctx.workloads[w].name, ctx.configs[c].name,
+                            ctx.results[w][c]};
+        for (ResultSink* s : sinks) s->runResult(rec);
+      }
+    }
+    for (const TableSpec& ts : spec.tables)
+      ctx.emitTable(buildTable(ts, ctx), ts.name, ts.precision);
   }
+  if (!spec.paper_anchor.empty()) ctx.emitText(spec.paper_anchor + "\n");
 
   for (ResultSink* s : sinks) s->endSuite();
 }

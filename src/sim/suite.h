@@ -123,46 +123,16 @@ struct ExperimentSpec {
 [[nodiscard]] std::vector<std::string> suiteWorkloadNames(
     const ExperimentSpec& spec);
 
-/// Resolve a SuiteContext's options, workloads and configurations —
-/// everything runSuite does BEFORE any simulation. Shared with the sweep
-/// coordinator (src/sweep/), which must shard the exact grid an
-/// in-process run would execute: budget/seed/jobs fallbacks, workload
-/// resolution + filtering (sampled sidecars validated up front), the
-/// empty-filter-match hard error and the config-set factory all live here
-/// once.
-void resolveSuiteContext(SuiteContext& ctx);
-
-/// The SuiteInfo sinks are introduced with, derived from a resolved ctx.
-[[nodiscard]] SuiteInfo suiteInfo(const SuiteContext& ctx);
-
 /// FNV-1a fingerprint over an explicit grid identity: suite name, resolved
 /// budget, seed, ordered workload names, ordered config names. The one
-/// definition every durable surface binds to — the sweep journal
-/// (`.mjournal`), the result store (`.mstore`) and the explorer's
-/// resume check all compare THIS value, so "same grid" means the same
-/// thing everywhere. Workload names are post-filter: a different --filter
-/// is a different grid.
+/// definition every durable surface binds to — SuiteInfo::fingerprint and
+/// the result store's (`.mstore`) segment keys compare THIS value, so
+/// "same grid" means the same thing everywhere. Workload names are
+/// post-filter: a different --filter is a different grid.
 [[nodiscard]] std::uint64_t gridFingerprintParts(
     const std::string& suite, std::uint64_t instructions, std::uint64_t seed,
     const std::vector<std::string>& workload_names,
     const std::vector<std::string>& config_names);
-
-/// gridFingerprintParts over a resolved SuiteContext.
-[[nodiscard]] std::uint64_t gridFingerprint(const SuiteContext& ctx);
-
-/// Announce every grid cell of ctx.results to the attached sinks via
-/// runResult(), in matrix order (workload-major) — the emission step that
-/// feeds durable sinks. Shared by runSuite and the sweep coordinator's
-/// merge so both paths produce identical store contents. No-op when
-/// ctx.results is empty (custom suites).
-void emitRunResults(SuiteContext& ctx);
-
-/// Build each TableSpec over ctx.results and emit tables + the paper
-/// anchor through ctx.sinks — the emission half of runSuite, shared with
-/// the sweep coordinator so a sharded sweep's merged report is
-/// byte-identical to the in-process run. Callers bracket this with
-/// beginSuite()/endSuite() themselves.
-void emitSuiteTables(SuiteContext& ctx);
 
 /// Execute one spec: resolve workloads/configs, run the grid through
 /// runMatrixParallel (or the custom body), build each TableSpec with its

@@ -1,14 +1,13 @@
 // The `.mstore` v1 result store: a durable, queryable home for sweep
-// results — the layer between "a sweep printed tables" and "thousands of
-// configs, millions of runs" (ROADMAP open item 3).
+// results.
 //
 // A store is a StateIO container (src/ckpt/state_io.h: magic, version,
 // payload checksum, atomic temp+rename writes — the same machinery as
-// `.mckpt`/`.mres`, under the "MSTR" magic) holding append-only SEGMENTS.
+// `.mckpt`, under the "MSTR" magic) holding append-only SEGMENTS.
 // One segment = one executed grid: its suite name, resolved budget and
-// seed, the grid fingerprint (sim::gridFingerprintParts — the identity the
-// sweep journal binds to) and every cell's full RunOutput encoded with the
-// sweep result codec. Beside the segments sits a columnar DIRECTORY
+// seed, the grid fingerprint (sim::gridFingerprintParts — the identity
+// every sink's SuiteInfo carries) and every cell's full RunOutput encoded
+// with the RunOutput wire codec (src/sweep/result_codec.h). Beside the segments sits a columnar DIRECTORY
 // (workload / config / seed / budget / cycles / IPC / energy per run) so
 // queries never decode a blob; the directory is cross-checked against the
 // blobs at load, so a store whose index disagrees with its payload is a
@@ -37,7 +36,7 @@ inline constexpr std::uint32_t kStoreVersion = 1;
 
 /// One appended grid: the identity every run in it shares.
 struct StoreSegment {
-  std::string suite;             ///< suite (or explore round) name
+  std::string suite;             ///< suite name
   std::uint64_t fingerprint = 0; ///< sim::gridFingerprintParts identity
   std::uint64_t instructions = 0;
   std::uint64_t seed = 0;
@@ -70,8 +69,7 @@ class ResultStore {
 
   /// One grid cell handed to appendSegment: its names + result. When
   /// `blob` is non-empty it is stored verbatim instead of re-encoding
-  /// `out` — the journal merge passes the worker's bytes through, so a
-  /// merged store is byte-identical to one a StoreSink wrote directly.
+  /// `out`; it must then be encodeRunOutput(*out).
   struct RunEntry {
     std::string workload;
     std::string config;
@@ -82,7 +80,7 @@ class ResultStore {
   /// Append one executed grid, cells in matrix order (workload-major). A
   /// fingerprint already present in the store is a hard error — the same
   /// grid twice would double every query row; callers with skip-if-present
-  /// semantics (the explorer's resume) probe findSegment() first.
+  /// semantics probe findSegment() first.
   void appendSegment(const StoreSegment& meta,
                      const std::vector<RunEntry>& runs);
 

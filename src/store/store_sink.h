@@ -6,10 +6,9 @@
 // endSuite(), appends them to the store as ONE segment keyed by the
 // suite's grid fingerprint: load existing store (an invalid existing file
 // is a hard error — a corrupt store must never be silently replaced),
-// appendSegment, atomic save. Both the in-process matrix path and the
-// sharded coordinator emit runs in the same matrix order, so the segment
-// a coordinated sweep writes is byte-identical to the in-process one —
-// CI diffs exactly that.
+// appendSegment, atomic save. runSuite emits runs in matrix order, so two
+// runs of the same grid write byte-identical stores — CI diffs exactly
+// that.
 #pragma once
 
 #include <string>

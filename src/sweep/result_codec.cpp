@@ -3,9 +3,7 @@
 #include <iterator>
 #include <utility>
 
-#include "ckpt/state_io.h"
 #include "common/binio.h"
-#include "common/check.h"
 
 namespace malec::sweep {
 
@@ -92,61 +90,6 @@ bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
     return false;
   }
   return true;
-}
-
-void writeResultFile(const std::string& path, std::uint64_t fingerprint,
-                     std::uint32_t task, std::uint32_t attempt,
-                     const sim::RunOutput& out) {
-  const std::vector<std::uint8_t> blob = encodeRunOutput(out);
-  ckpt::StateWriter w;
-  w.beginSection("binding");
-  w.u64(fingerprint);
-  w.u32(task);
-  w.u32(attempt);
-  w.endSection();
-  w.beginSection("run_output");
-  w.u64(blob.size());
-  w.bytes(blob.data(), blob.size());
-  w.endSection();
-  std::string err;
-  if (!w.writeTo(path, err)) MALEC_CHECK_MSG(false, err.c_str());
-}
-
-bool readResultFile(const std::string& path, std::uint64_t fingerprint,
-                    std::uint32_t task, std::uint32_t attempt,
-                    sim::RunOutput& out, std::vector<std::uint8_t>& blob,
-                    std::string& err) {
-  ckpt::StateReader r(path);
-  if (!r.ok()) {
-    err = r.error();
-    return false;
-  }
-  if (!r.hasSection("binding") || !r.hasSection("run_output")) {
-    err = "'" + path + "' is not a sweep result file";
-    return false;
-  }
-  r.openSection("binding");
-  const std::uint64_t got_fp = r.u64();
-  const std::uint32_t got_task = r.u32();
-  const std::uint32_t got_attempt = r.u32();
-  r.endSection();
-  if (got_fp != fingerprint || got_task != task || got_attempt != attempt) {
-    err = "'" + path + "' binds to a different (grid, task, attempt) — "
-          "stale or foreign result file";
-    return false;
-  }
-  r.openSection("run_output");
-  const std::uint64_t len = r.u64();
-  if (len != r.remaining()) {
-    err = "'" + path + "': run_output blob length " + std::to_string(len) +
-          " disagrees with the " + std::to_string(r.remaining()) +
-          " bytes its section holds";
-    return false;
-  }
-  blob.assign(static_cast<std::size_t>(len), 0);
-  r.bytes(blob.data(), blob.size());
-  r.endSection();
-  return decodeRunOutput(blob.data(), blob.size(), out, err);
 }
 
 }  // namespace malec::sweep

@@ -1,13 +1,7 @@
-// RunOutput wire codec + the worker result file (`.mres`).
-//
-// A sweep worker hands its RunOutput back to the coordinator as a file:
-// a `.mckpt`-style StateIO container (atomic temp+rename write, payload
-// checksum, strict validation at open — see src/ckpt/state_io.h) holding a
-// "binding" section that pins the result to one (grid fingerprint, task,
-// attempt) and a "run_output" section with the encoded RunOutput blob. The
-// same blob encoding is embedded verbatim in the journal's completion
-// records, so a resumed coordinator rebuilds results without re-reading
-// any worker file.
+// RunOutput wire codec: one run's full result as a self-delimiting byte
+// blob. The result store (`.mstore`) keeps one blob per run and the golden
+// run fingerprints (tests/golden/runs.golden) hash it, so its bytes are a
+// contract (docs/FILE_FORMATS.md, "Primitive encoding").
 //
 // Every field of RunOutput travels — the scalar metrics, every
 // InterfaceStats counter (kInterfaceCounterFields keeps the listing
@@ -31,27 +25,9 @@ namespace malec::sweep {
 
 /// Decode a blob produced by encodeRunOutput. Returns false (with `err`
 /// set) on any structural problem — short blob, trailing bytes, bad field
-/// counts — without aborting: the coordinator treats a bad result file as
-/// a retryable worker failure, not a crash.
+/// counts — without aborting: the store reports a bad blob as a corrupt
+/// file, not a crash.
 [[nodiscard]] bool decodeRunOutput(const std::uint8_t* p, std::size_t n,
                                    sim::RunOutput& out, std::string& err);
-
-/// Write a worker result file: binding + blob, atomically. Aborts on I/O
-/// failure (the worker has nothing useful to do but die loudly — the
-/// coordinator will journal the failure and retry).
-void writeResultFile(const std::string& path, std::uint64_t fingerprint,
-                     std::uint32_t task, std::uint32_t attempt,
-                     const sim::RunOutput& out);
-
-/// Read + validate a worker result file against the expected binding.
-/// Returns false with `err` on ANY mismatch or corruption — including a
-/// checksum failure from a worker killed mid-write or a fault-injected
-/// `corrupt-result` — so the coordinator's retry path owns the decision.
-[[nodiscard]] bool readResultFile(const std::string& path,
-                                  std::uint64_t fingerprint,
-                                  std::uint32_t task, std::uint32_t attempt,
-                                  sim::RunOutput& out,
-                                  std::vector<std::uint8_t>& blob,
-                                  std::string& err);
 
 }  // namespace malec::sweep

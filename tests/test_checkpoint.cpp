@@ -5,11 +5,16 @@
 // trace-backed workloads, at several mid-run boundaries, serial and under
 // runManyParallel. Plus the strict `.mckpt` rejection matrix mirroring
 // test_sample_plan: truncation, corruption, bad magic, version skew,
-// foreign trace binding and configuration mismatch are all hard errors.
+// foreign trace binding, configuration mismatch and forged element counts
+// are all hard errors.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -142,6 +147,32 @@ TEST(Checkpoint, StateIoRoundTrip) {
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
   EXPECT_EQ(r.str(), "hello checkpoint");
   r.endSection();
+  std::remove(path.c_str());
+}
+
+// --- StateWriter stale-temp reaping -----------------------------------------
+
+TEST(StateIo, WriteReapsStaleTempsButSparesLiveWriters) {
+  const std::string path = tmpPath("reap.mckpt");
+  // A temp left by a dead pid (1 is never free, so fabricate an absurd
+  // one far past any real pid) must be swept; a temp owned by a LIVE
+  // process — ours — must survive: it is a racing healthy writer.
+  const std::string stale = path + ".tmp.999999999.0";
+  const std::string live =
+      path + ".tmp." + std::to_string(::getpid()) + ".777";
+  { std::ofstream(stale) << "stale"; }
+  { std::ofstream(live) << "live"; }
+
+  ckpt::StateWriter w;
+  w.beginSection("s");
+  w.u32(1);
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+
+  EXPECT_FALSE(std::filesystem::exists(stale));
+  EXPECT_TRUE(std::filesystem::exists(live));
+  std::remove(live.c_str());
   std::remove(path.c_str());
 }
 
@@ -372,6 +403,67 @@ TEST(Checkpoint, HugeSectionNameLengthIsRejectedNotOverflowed) {
   ckpt::StateReader r(path);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error().find("section table overruns"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// The checksum only proves the bytes are the writer's: a checkpoint whose
+// first dependency producer's list length was forged to 2^40 (checksum
+// recomputed) must be refused at the count, not sized into a bad_alloc.
+TEST(CheckpointDeathTest, ForgedDependencyCountAbortsBeforeAllocating) {
+  RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
+  const std::string path = writeCheckpoint(rc, "forgeddeps.mckpt");
+  std::vector<std::uint8_t> file;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::uint8_t buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+      file.insert(file.end(), buf, buf + n);
+    std::fclose(f);
+  }
+  constexpr std::size_t kHeader = 32;
+  ASSERT_GT(file.size(), kHeader);
+
+  // Walk the section table to the "core" body, then CoreModel's field
+  // order (tools/lint/schemas/CoreModel.schema) to the first producer's
+  // dependency count.
+  binio::ByteReader sections(file.data() + kHeader, file.size() - kHeader);
+  std::size_t core_at = 0;
+  while (sections.ok() && sections.remaining() > 0 && core_at == 0) {
+    const std::string name = sections.str(sections.u32());
+    const std::uint64_t len = sections.u64();
+    if (name == "core") core_at = file.size() - sections.remaining();
+    (void)sections.take(len);
+  }
+  ASSERT_NE(core_at, 0u) << "no core section";
+  constexpr std::size_t kRecordBytes = 8 + 1 + 8 + 1 + 4 + 4;
+  binio::ByteReader core(file.data() + core_at, file.size() - core_at);
+  (void)core.u64();                                  // head_seq
+  const std::uint64_t rob_n = core.u64();
+  (void)core.take(rob_n * (kRecordBytes + 2));       // entries + flags
+  (void)core.take(1 + 8 + 8);                        // trace_done, now, base
+  if (core.u8() != 0) (void)core.take(kRecordBytes); // staged record
+  ASSERT_GT(core.u64(), 0u) << "checkpoint holds no dependency list";
+  (void)core.u64();                                  // producer seq
+  ASSERT_TRUE(core.ok());
+  const std::size_t count_at = file.size() - core.remaining();
+  for (int i = 0; i < 8; ++i)
+    file[count_at + i] = static_cast<std::uint8_t>((std::uint64_t{1} << 40) >>
+                                                   (8 * i));
+  const std::uint64_t sum = binio::fnv1a(
+      binio::kFnvOffset, file.data() + kHeader, file.size() - kHeader);
+  for (int i = 0; i < 8; ++i)
+    file[24 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+
+  rc.start_ckpt = path;
+  EXPECT_DEATH((void)runOne(rc), "dependency count 1099511627776");
   std::remove(path.c_str());
 }
 

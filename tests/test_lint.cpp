@@ -110,6 +110,25 @@ TEST(LintLibrary, InlineAndFileScopeWaiversSilenceFindings) {
   EXPECT_TRUE(r.findings.empty()) << malec::lint::formatFindings(r);
 }
 
+TEST(LintLibrary, DeadAllowlistEntryIsAFinding) {
+  Options opt;
+  opt.root = fixtureRoot("bad_allowlist");
+  const std::string allowlist = opt.root + "/tools/lint/allowlist.txt";
+  std::vector<std::string> errors;
+  opt.allow = malec::lint::parseAllowlistFile(allowlist, errors);
+  EXPECT_TRUE(errors.empty());
+  ASSERT_EQ(opt.allow.size(), 2u);
+  // The live entry still waives clockface.cpp; only the dead one fires,
+  // located at its own allowlist line.
+  const Report r = malec::lint::runLint(opt);
+  ASSERT_EQ(r.findings.size(), 1u) << malec::lint::formatFindings(r);
+  EXPECT_EQ(r.findings[0].rule, "allowlist");
+  EXPECT_EQ(r.findings[0].file, allowlist);
+  EXPECT_EQ(r.findings[0].line, 3);
+  EXPECT_NE(r.findings[0].message.find("src/sim/retired.cpp"),
+            std::string::npos);
+}
+
 TEST(LintLibrary, SymmetryRuleFlagsReorderedLoadState) {
   const Report r = lintFixture("bad_symmetry");
   ASSERT_EQ(r.findings.size(), 1u) << malec::lint::formatFindings(r);
@@ -295,6 +314,7 @@ TEST(LintExitCodes, CheckLintFailsEverySeededRuleFamily) {
   EXPECT_EQ(checkLintExit("bad_symmetry"), 1);
   EXPECT_EQ(checkLintExit("bad_layering"), 1);
   EXPECT_EQ(checkLintExit("bad_hotalloc"), 1);
+  EXPECT_EQ(checkLintExit("bad_allowlist"), 1);
 }
 
 TEST(LintExitCodes, CheckLintFailsOnCheckpointMatrixDrift) {

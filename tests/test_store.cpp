@@ -1,10 +1,11 @@
-// The `.mstore` v1 result store contract (docs/FILE_FORMATS.md): format
-// round trip, the strict rejection matrix (bad magic, version skew,
-// truncation, mid-file corruption, duplicate fingerprints, index/blob
-// disagreement), the query engine's select/filter/sort/group-geomean
-// semantics, exotic workload names surviving the StoreSink round trip,
-// and — through the real malec_bench binary — the byte-identity of a
-// journal-merged store with one a live `--sink store` run writes.
+// The `.mstore` v1 result store contract (docs/FILE_FORMATS.md): the
+// RunOutput wire codec every store blob holds and the grid fingerprint
+// every segment binds to, format round trip, the strict rejection matrix
+// (bad magic, version skew, truncation, mid-file corruption, duplicate
+// fingerprints, index/blob disagreement), the query engine's
+// select/filter/sort/group-geomean semantics, exotic workload names
+// surviving the StoreSink round trip, and — through the real malec_bench
+// binary — the store sink and the query subcommand end to end.
 #include "store/result_store.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "sim/presets.h"
 #include "sim/registry.h"
 #include "sim/reporting.h"
+#include "sim/suite.h"
 #include "store/query.h"
 #include "store/store_sink.h"
 #include "sweep/result_codec.h"
@@ -100,6 +102,62 @@ ResultStore sampleStore() {
   s2.seed = 9;
   rs.appendSegment(s2, {{"gcc", "MALEC", &e, {}}});
   return rs;
+}
+
+// --- RunOutput wire codec ---------------------------------------------------
+
+void expectBitIdentical(const sim::RunOutput& a, const sim::RunOutput& b) {
+  EXPECT_EQ(a.benchmark, b.benchmark);
+  EXPECT_EQ(a.config, b.config);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.ipc, b.ipc);
+  EXPECT_EQ(a.dynamic_pj, b.dynamic_pj);
+  EXPECT_EQ(a.leakage_pj, b.leakage_pj);
+  EXPECT_EQ(a.total_pj, b.total_pj);
+  EXPECT_EQ(a.way_coverage, b.way_coverage);
+  EXPECT_EQ(a.l1_load_miss_rate, b.l1_load_miss_rate);
+  EXPECT_EQ(a.merged_load_fraction, b.merged_load_fraction);
+  for (const auto field : core::kInterfaceCounterFields)
+    EXPECT_EQ(a.ifc.*field, b.ifc.*field);
+  EXPECT_EQ(a.core.cycles, b.core.cycles);
+  EXPECT_EQ(a.core.instructions, b.core.instructions);
+  for (const auto field : cpu::kCoreScaledCounterFields)
+    EXPECT_EQ(a.core.*field, b.core.*field);
+  EXPECT_EQ(a.energy_detail.toTable(), b.energy_detail.toTable());
+}
+
+TEST(ResultCodec, RoundTripIsBitIdentical) {
+  const sim::RunOutput& out = baseRun();
+  const std::vector<std::uint8_t> blob = sweep::encodeRunOutput(out);
+  sim::RunOutput back;
+  std::string err;
+  ASSERT_TRUE(sweep::decodeRunOutput(blob.data(), blob.size(), back, err))
+      << err;
+  expectBitIdentical(out, back);
+}
+
+TEST(ResultCodec, DecodeRejectsTruncationAndTrailingBytes) {
+  const sim::RunOutput& out = baseRun();
+  std::vector<std::uint8_t> blob = sweep::encodeRunOutput(out);
+  sim::RunOutput back;
+  std::string err;
+  EXPECT_FALSE(
+      sweep::decodeRunOutput(blob.data(), blob.size() - 1, back, err));
+  blob.push_back(0);
+  EXPECT_FALSE(sweep::decodeRunOutput(blob.data(), blob.size(), back, err));
+  EXPECT_NE(err.find("trailing"), std::string::npos) << err;
+}
+
+// Known-answer pin: the grid identity every store segment binds to. A
+// change to the convention orphans every store already on disk, so it
+// must be deliberate.
+TEST(GridFingerprint, KnownAnswer) {
+  EXPECT_EQ(sim::gridFingerprintParts("fig4a", 20000, 7, {"gcc", "mcf"},
+                                      {"Base1ldst", "MALEC"}),
+            0x2109c9135d206ad3ull);
+  EXPECT_EQ(sim::gridFingerprintParts("", 0, 0, {}, {}),
+            0xcbf7a16bc31f675full);
 }
 
 // --- format round trip ------------------------------------------------------
@@ -467,7 +525,7 @@ TEST(Query, JsonEscapesExoticNamesAndTypesNumbers) {
   EXPECT_NE(got.find("\"seed\":1,"), std::string::npos) << got;
 }
 
-// --- subprocess: merge vs live sink byte-identity ---------------------------
+// --- subprocess: the real malec_bench binary --------------------------------
 
 int runBench(const std::string& env_prefix, const std::string& args,
              const std::string& out_path) {
@@ -481,61 +539,21 @@ int runBench(const std::string& env_prefix, const std::string& args,
 
 const char* kGrid = "--suite fig4a --filter gcc --instr 2000 --seed 1";
 
-TEST(StoreProcess, JournalMergeIsByteIdenticalToLiveStoreSink) {
-  const std::string direct = tmpPath("direct.mstore");
-  const std::string merged = tmpPath("merged.mstore");
-  const std::string journal = tmpPath("merge.mjournal");
-  for (const auto& p : {direct, merged, journal}) std::remove(p.c_str());
-
-  const std::string out = tmpPath("direct.txt");
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --sink store --store " +
-                             direct,
+TEST(StoreProcess, QueryAnswersOverALiveSinkStore) {
+  const std::string path = tmpPath("live.mstore");
+  std::remove(path.c_str());
+  const std::string out = tmpPath("live.txt");
+  ASSERT_EQ(runBench("", std::string(kGrid) + " --sink store --store " + path,
                      out),
             0)
       << slurp(out + ".err");
-
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --journal " +
-                             journal,
-                     out),
-            0)
-      << slurp(out + ".err");
-  ASSERT_EQ(runBench("", "merge " + std::string(kGrid) + " --journal " +
-                             journal + " --store " + merged,
-                     out),
-            0)
-      << slurp(out + ".err");
-  EXPECT_EQ(slurp(direct), slurp(merged));
-
-  // And the query subcommand answers over either of them.
   const std::string qout = tmpPath("query.txt");
-  ASSERT_EQ(runBench("", "query --store " + merged +
+  ASSERT_EQ(runBench("", "query --store " + path +
                              " --format json --where-config MALEC",
                      qout),
             0)
       << slurp(qout + ".err");
   EXPECT_NE(slurp(qout).find("\"config\":\"MALEC\""), std::string::npos);
-}
-
-TEST(StoreProcess, MergeRefusesForeignJournalAndIncompleteSweep) {
-  const std::string journal = tmpPath("foreignm.mjournal");
-  const std::string merged = tmpPath("foreignm.mstore");
-  std::remove(journal.c_str());
-  std::remove(merged.c_str());
-  const std::string out = tmpPath("foreignm.txt");
-  ASSERT_EQ(runBench("", std::string(kGrid) + " --workers 2 --journal " +
-                             journal,
-                     out),
-            0);
-  // Same journal, different seed: the fingerprint check refuses.
-  EXPECT_NE(runBench("",
-                     "merge --suite fig4a --filter gcc --instr 2000 "
-                     "--seed 2 --journal " +
-                         journal + " --store " + merged,
-                     out),
-            0);
-  EXPECT_NE(slurp(out + ".err").find("different grid"), std::string::npos)
-      << slurp(out + ".err");
-  EXPECT_FALSE(std::filesystem::exists(merged));
 }
 
 TEST(StoreProcess, SinkRefusesRewritingTheSameGridViaCli) {

@@ -1,6 +1,6 @@
 // Wall-clock use waived at file scope: this fixture file is covered by
 // tools/lint/allowlist.txt (determinism entry), mirroring how the real
-// tree exempts the sweep coordinator's worker-supervision timers.
+// tree exempts the wall-clock timing columns in src/sim/specs.cpp.
 #include <chrono>
 
 namespace fixture {

@@ -1311,8 +1311,6 @@ const std::map<std::string, std::set<std::string>>& layerAllowedDeps() {
     t["sweep"].insert("sim");
     t["store"] = t["sweep"];
     t["store"].insert("sweep");
-    t["explore"] = t["store"];
-    t["explore"].insert("store");
     return t;
   }();
   return kTable;
@@ -1410,6 +1408,8 @@ std::vector<AllowEntry> parseAllowlistFile(
     if (t.empty() || t[0] == '#') continue;
     std::istringstream ss(t);
     AllowEntry e;
+    e.file = path;
+    e.line = lineno;
     ss >> e.rule >> e.path_suffix;
     std::getline(ss, e.reason);
     e.reason = trim(e.reason);
@@ -1459,6 +1459,19 @@ Report runLint(const Options& opt) {
   std::sort(rel_paths.begin(), rel_paths.end());
   rel_paths.erase(std::unique(rel_paths.begin(), rel_paths.end()),
                   rel_paths.end());
+
+  // An allowlist entry that matches no scanned file exempts nothing
+  // today and would silently exempt whatever file next takes its name.
+  for (const AllowEntry& e : opt.allow) {
+    if (std::none_of(rel_paths.begin(), rel_paths.end(),
+                     [&](const std::string& rel) {
+                       return pathSuffixMatches(rel, e.path_suffix);
+                     }))
+      report.findings.push_back(
+          {e.file, e.line, "allowlist",
+           "entry '" + e.rule + " " + e.path_suffix +
+               "' matches no scanned file — delete it"});
+  }
 
   std::map<std::string, FileData> files;
   for (const std::string& rel : rel_paths) {

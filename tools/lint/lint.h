@@ -72,7 +72,9 @@
 // File-scope exemptions live in an allowlist file of
 // `<rule> <path-suffix> <reason...>` lines; suffixes match at path
 // component boundaries only (`core/foo.h` never matches
-// `src/othercore/foo.h`).
+// `src/othercore/foo.h`). An entry whose suffix matches no scanned file
+// is itself a finding (`allowlist`): a retired file's exemption cannot
+// linger to silently cover whatever file next takes its name.
 //
 // Everything is deterministic: files are scanned in sorted order, findings
 // are emitted in (file, line, rule) order, schemas in class-name order.
@@ -96,6 +98,10 @@ struct AllowEntry {
   /// (or equals it exactly).
   std::string path_suffix;
   std::string reason;  ///< must be non-empty
+  /// Where the entry was read (allowlist path, 1-based line) — the
+  /// location of the finding when the suffix matches no scanned file.
+  std::string file = {};
+  int line = 0;
 };
 
 struct Options {

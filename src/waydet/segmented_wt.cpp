@@ -1,6 +1,7 @@
 #include "waydet/segmented_wt.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "ckpt/state_io.h"
 #include "common/check.h"
@@ -144,8 +145,18 @@ void SegmentedWayTable::loadState(ckpt::StateReader& r) {
     c.slot = r.u32();
     c.index = r.u32();
     c.lru = r.u64();
+    // Every chunk holds lines_per_chunk codes (the constructor sized it);
+    // any other count is a forged or foreign file, rejected before it is
+    // read or sizes anything.
     const std::uint64_t codes = r.u64();
-    c.codes.assign(static_cast<std::size_t>(codes), kCodeUnknown);
+    if (codes != p_.lines_per_chunk) {
+      char msg[128];
+      std::snprintf(msg, sizeof msg,
+                    "segmented-WT chunk code count %llu, this geometry "
+                    "holds %u",
+                    static_cast<unsigned long long>(codes), p_.lines_per_chunk);
+      MALEC_CHECK_MSG(false, msg);
+    }
     for (WayCode& code : c.codes) code = r.u8();
   }
   tick_ = r.u64();

@@ -406,36 +406,65 @@ TEST(Checkpoint, HugeSectionNameLengthIsRejectedNotOverflowed) {
   std::remove(path.c_str());
 }
 
+// Forged-count fixtures: read a checkpoint, overwrite one u64 field in a
+// section body, and recompute the payload checksum, so only the component's
+// own count bound can reject the file.
+constexpr std::size_t kCkptHeader = 32;
+
+std::vector<std::uint8_t> readBytes(const std::string& path) {
+  std::vector<std::uint8_t> file;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return file;
+  std::uint8_t buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+    file.insert(file.end(), buf, buf + n);
+  std::fclose(f);
+  return file;
+}
+
+/// File offset of section `name`'s body, or 0 when it is absent.
+std::size_t sectionBodyAt(const std::vector<std::uint8_t>& file,
+                          const std::string& name) {
+  if (file.size() <= kCkptHeader) return 0;
+  binio::ByteReader sections(file.data() + kCkptHeader,
+                             file.size() - kCkptHeader);
+  while (sections.ok() && sections.remaining() > 0) {
+    const std::string got = sections.str(sections.u32());
+    const std::uint64_t len = sections.u64();
+    if (got == name) return file.size() - sections.remaining();
+    (void)sections.take(len);
+  }
+  return 0;
+}
+
+void forgeU64AndReseal(const std::string& path, std::vector<std::uint8_t> file,
+                       std::size_t at, std::uint64_t value) {
+  ASSERT_LE(at + 8, file.size());
+  for (int i = 0; i < 8; ++i)
+    file[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  const std::uint64_t sum =
+      binio::fnv1a(binio::kFnvOffset, file.data() + kCkptHeader,
+                   file.size() - kCkptHeader);
+  for (int i = 0; i < 8; ++i)
+    file[24 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+  std::fclose(f);
+}
+
 // The checksum only proves the bytes are the writer's: a checkpoint whose
 // first dependency producer's list length was forged to 2^40 (checksum
 // recomputed) must be refused at the count, not sized into a bad_alloc.
 TEST(CheckpointDeathTest, ForgedDependencyCountAbortsBeforeAllocating) {
   RunConfig rc = baseConfig("gcc", presetMalec(), 2'000);
   const std::string path = writeCheckpoint(rc, "forgeddeps.mckpt");
-  std::vector<std::uint8_t> file;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::uint8_t buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      file.insert(file.end(), buf, buf + n);
-    std::fclose(f);
-  }
-  constexpr std::size_t kHeader = 32;
-  ASSERT_GT(file.size(), kHeader);
+  const std::vector<std::uint8_t> file = readBytes(path);
 
-  // Walk the section table to the "core" body, then CoreModel's field
-  // order (tools/lint/schemas/CoreModel.schema) to the first producer's
-  // dependency count.
-  binio::ByteReader sections(file.data() + kHeader, file.size() - kHeader);
-  std::size_t core_at = 0;
-  while (sections.ok() && sections.remaining() > 0 && core_at == 0) {
-    const std::string name = sections.str(sections.u32());
-    const std::uint64_t len = sections.u64();
-    if (name == "core") core_at = file.size() - sections.remaining();
-    (void)sections.take(len);
-  }
+  // Walk CoreModel's field order (tools/lint/schemas/CoreModel.schema) to
+  // the first producer's dependency count.
+  const std::size_t core_at = sectionBodyAt(file, "core");
   ASSERT_NE(core_at, 0u) << "no core section";
   constexpr std::size_t kRecordBytes = 8 + 1 + 8 + 1 + 4 + 4;
   binio::ByteReader core(file.data() + core_at, file.size() - core_at);
@@ -447,23 +476,48 @@ TEST(CheckpointDeathTest, ForgedDependencyCountAbortsBeforeAllocating) {
   ASSERT_GT(core.u64(), 0u) << "checkpoint holds no dependency list";
   (void)core.u64();                                  // producer seq
   ASSERT_TRUE(core.ok());
-  const std::size_t count_at = file.size() - core.remaining();
-  for (int i = 0; i < 8; ++i)
-    file[count_at + i] = static_cast<std::uint8_t>((std::uint64_t{1} << 40) >>
-                                                   (8 * i));
-  const std::uint64_t sum = binio::fnv1a(
-      binio::kFnvOffset, file.data() + kHeader, file.size() - kHeader);
-  for (int i = 0; i < 8; ++i)
-    file[24 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
-    std::fclose(f);
-  }
+  forgeU64AndReseal(path, file, file.size() - core.remaining(),
+                    std::uint64_t{1} << 40);
 
   rc.start_ckpt = path;
   EXPECT_DEATH((void)runOne(rc), "dependency count 1099511627776");
+  std::remove(path.c_str());
+}
+
+// The same forgery on a SegmentedWayTable section: its first chunk's code
+// count (tools/lint/schemas/SegmentedWayTable.schema) forged to 2^40 must
+// be refused against the geometry's lines_per_chunk before it sizes the
+// chunk's code vector.
+TEST(CheckpointDeathTest, ForgedSegmentedWtCodeCountAbortsBeforeAllocating) {
+  const std::string path = tmpPath("forgedswt.mckpt");
+  waydet::SegmentedWayTable::Params p;
+  p.slots = 8;
+  p.lines_per_page = 32;
+  p.lines_per_chunk = 8;
+  p.chunks = 6;
+  waydet::SegmentedWayTable a(p);
+  a.record(1, 3, 0, 1);
+  ckpt::StateWriter w;
+  w.beginSection("swt");
+  a.saveState(w);
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+
+  const std::vector<std::uint8_t> file = readBytes(path);
+  const std::size_t swt_at = sectionBodyAt(file, "swt");
+  ASSERT_NE(swt_at, 0u) << "no swt section";
+  // pool size, then chunk 0: valid, slot, index, lru, code count.
+  forgeU64AndReseal(path, file, swt_at + 8 + 1 + 4 + 4 + 8,
+                    std::uint64_t{1} << 40);
+
+  waydet::SegmentedWayTable b(p);
+  ckpt::StateReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("swt");
+  EXPECT_DEATH(b.loadState(r),
+               "segmented-WT chunk code count 1099511627776, this geometry "
+               "holds 8");
   std::remove(path.c_str());
 }
 

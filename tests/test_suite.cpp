@@ -42,7 +42,7 @@ TEST(SpecRegistry, EnumeratesAtLeastTenSuites) {
         "coverage_ablation", "merge_contribution", "arbitration_window",
         "way_encoding", "sensitivity_latency", "sensitivity_carry",
         "sensitivity_buses", "sensitivity_waydet", "sensitivity_adaptive",
-        "sensitivity_scaling", "trace_replay", "energy_account"})
+        "sensitivity_scaling", "trace_replay"})
     EXPECT_TRUE(reg.has(name)) << name;
   // Every spec carries a --list description.
   for (const auto& name : reg.names())

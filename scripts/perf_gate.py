@@ -19,7 +19,8 @@ metric only the change reports is printed but not gated. The gate also
 fails on a run that exits non-zero or prints no result, on `correct: false`,
 and on a higher failed/attempted share than the parent's.
 
-Prints one table and exits 0 (pass) or 1 (fail).
+Prints the verdict table, then every row's parent/change values pair by
+pair in pair order, and exits 0 (pass) or 1 (fail).
 """
 
 import json
@@ -161,18 +162,49 @@ def failing(verdict):
     return verdict in ("FAIL", "UNRESOLVED-FAIL", "missing-change")
 
 
-def render(rows):
-    def num(v, fmt):
-        return "-" if v is None else format(v, fmt)
-
-    head = ("workload", "metric", "parent", "change", "ratio", "bound",
-            "spread", "verdict")
-    body = [(wl, name, num(pm, ".4g"), num(cm, ".4g"), num(ratio, ".3f"),
-             num(bound, ".2f"), num(sp, ".3f"), verdict)
-            for wl, name, pm, cm, ratio, bound, sp, verdict in rows]
+def table(head, body):
+    """Left-aligned columns, two spaces apart."""
     widths = [max(len(r[i]) for r in [head] + body) for i in range(len(head))]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
                      for r in [head] + body)
+
+
+def num(v, fmt=".4g"):
+    return "-" if v is None else format(v, fmt)
+
+
+def render(rows):
+    head = ("workload", "metric", "parent", "change", "ratio", "bound",
+            "spread", "verdict")
+    body = [(wl, name, num(pm), num(cm), num(ratio, ".3f"),
+             num(bound, ".2f"), num(sp, ".3f"), verdict)
+            for wl, name, pm, cm, ratio, bound, sp, verdict in rows]
+    return table(head, body)
+
+
+def pair_values(runs, key):
+    """`key`'s value in each run, in run order; None where a run lacks it."""
+    out = []
+    for run in runs:
+        m = (run["result"] or {}).get("metrics", {}).get(key)
+        out.append(None if m is None else m["value"])
+    return out
+
+
+def render_pairs(rows, parent_runs, change_runs):
+    """Each row's parent/change values pair by pair, so a median's move can
+    be told apart from one outlying pair or a drift across the session."""
+    pairs = max(len(parent_runs), len(change_runs))
+    head = ("workload", "metric") + tuple(f"pair {i}" for i in
+                                          range(1, pairs + 1))
+    body = []
+    for wl, name, *_ in rows:
+        key = f"{wl}.{name}"
+        p = pair_values(parent_runs, key) + [None] * pairs
+        c = pair_values(change_runs, key) + [None] * pairs
+        body.append((wl, name) + tuple(f"{num(p[i])}/{num(c[i])}"
+                                       for i in range(pairs)))
+    return table(head, body)
 
 
 def main(argv):
@@ -195,6 +227,8 @@ def main(argv):
             runs[side].append(run_once(checkout, i, seconds))
     rows, problems = gate(metrics, runs["parent"], runs["change"])
     print(render(rows))
+    print("\nper pair, parent/change:")
+    print(render_pairs(rows, runs["parent"], runs["change"]))
     for p in problems:
         print(f"perf_gate: {p}")
     failed = problems or any(failing(r[-1]) for r in rows)

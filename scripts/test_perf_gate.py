@@ -137,5 +137,28 @@ class Gate(unittest.TestCase):
         self.assertEqual({r[-1] for r in rows}, {"ok"})
 
 
+class PerPair(unittest.TestCase):
+    def test_values_print_in_pair_order_with_gaps_for_failed_runs(self):
+        parent = runs("w.setup_s", [1.0, 2.0, 3.0])
+        change = runs("w.setup_s", [10.0, 20.0, 30.0])
+        change[1] = {"rc": 1, "result": None}
+        rows, _ = perf_gate.gate(METRICS, parent, change)
+        lines = perf_gate.render_pairs(rows, parent, change).splitlines()
+        self.assertEqual(lines[0].split(),
+                         ["workload", "metric", "pair", "1", "pair", "2",
+                          "pair", "3"])
+        self.assertEqual(lines[1].split(),
+                         ["w", "setup_s", "1/10", "2/-", "3/30"])
+
+    def test_one_line_per_verdict_row(self):
+        one = {f"{w}.{m}": 1.0 for w in ("a", "b") for m in METRICS}
+        rows, _ = perf_gate.gate(METRICS, [run(one)] * 5, [run(one)] * 5)
+        lines = perf_gate.render_pairs(rows, [run(one)] * 5,
+                                       [run(one)] * 5).splitlines()
+        self.assertEqual(len(lines), 1 + len(rows))
+        self.assertEqual([ln.split()[:2] for ln in lines[1:]],
+                         [[wl, name] for wl, name, *_ in rows])
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -3,10 +3,12 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "common/binio.h"
@@ -78,28 +80,67 @@ void StateWriter::beginSection(const std::string& name) {
   }
   names_.push_back(name);
   // Inline section header: u32 name length, name bytes, u64 body length
-  // (patched in endSection), body bytes. The header goes in as one append:
-  // a vector grows to size + max(size, appended), so three appends here
-  // would shift every later doubling step of the payload — for the ~9.5 MB
-  // sampled warmup cache, the last step from 6 to 8 MB and peak RSS up by
-  // ~2.7 MB.
-  binio::ByteWriter header;
-  header.str32(name);
-  header.u64(0);
-  payload_.bytes(header.data(), header.size());
-  open_len_at_ = payload_.size() - 8;
+  // (patched in endSection), body bytes.
+  section_.str32(name);
+  section_.u64(0);
+  open_len_at_ = section_.size() - 8;
   ++sections_;
 }
 
 void StateWriter::endSection() {
   MALEC_CHECK_MSG(open_len_at_ != kNone, "no checkpoint section is open");
-  payload_.patch64(open_len_at_, payload_.size() - (open_len_at_ + 8));
+  section_.patch64(open_len_at_, section_.size() - (open_len_at_ + 8));
   open_len_at_ = kNone;
+  spool(section_.data(), section_.size());
+  section_.clear();
+}
+
+void StateWriter::spool(const std::uint8_t* p, std::size_t n) {
+  if (!spool_error_.empty()) return;
+  if (spool_ == nullptr) {
+    spool_.reset(std::tmpfile());
+    if (spool_ == nullptr) {
+      spool_error_ = std::string("cannot create the checkpoint spool file: ") +
+                     std::strerror(errno);
+      return;
+    }
+  }
+  if (std::fwrite(p, 1, n, spool_.get()) != n) {
+    spool_error_ = std::string("cannot append to the checkpoint spool file: ") +
+                   std::strerror(errno);
+    return;
+  }
+  payload_bytes_ += n;
+  checksum_ = binio::fnv1a(checksum_, p, n);
+}
+
+std::string StateWriter::copySpoolTo(std::FILE* out,
+                                     const std::string& short_write) const {
+  if (spool_ == nullptr) return {};  // no sections: an empty payload
+  std::FILE* in = spool_.get();
+  if (std::fseek(in, 0, SEEK_SET) != 0)
+    return "cannot rewind the checkpoint spool file";
+  std::vector<std::uint8_t> chunk(std::size_t{1} << 16);
+  std::string fail;
+  for (std::uint64_t left = payload_bytes_; left > 0 && fail.empty();) {
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size()));
+    if (std::fread(chunk.data(), 1, n, in) != n)
+      fail = "short read from the checkpoint spool file";
+    else if (std::fwrite(chunk.data(), 1, n, out) != n)
+      fail = short_write;
+    left -= n;
+  }
+  // Later sections append: leave the spool positioned at its end (a stdio
+  // update stream must seek between a read and a write anyway).
+  if (std::fseek(in, 0, SEEK_END) != 0 && fail.empty())
+    fail = "cannot reposition the checkpoint spool file";
+  return fail;
 }
 
 binio::ByteWriter& StateWriter::body() {
   MALEC_CHECK_MSG(open_len_at_ != kNone, "write outside a checkpoint section");
-  return payload_;
+  return section_;
 }
 
 void StateWriter::u8(std::uint8_t v) { body().u8(v); }
@@ -116,13 +157,17 @@ void StateWriter::bytes(const std::uint8_t* p, std::size_t n) {
 bool StateWriter::writeTo(const std::string& path, std::string& err) const {
   MALEC_CHECK_MSG(open_len_at_ == kNone,
                   "cannot write a checkpoint with an open section");
+  if (!spool_error_.empty()) {
+    err = "cannot write '" + path + "': " + spool_error_;
+    return false;
+  }
   std::uint8_t hdr[kHeaderBytes] = {};
   put32(hdr + 0, magic_);
   put32(hdr + 4, version_);
-  put64(hdr + 8, static_cast<std::uint64_t>(payload_.size()));
+  put64(hdr + 8, payload_bytes_);
   put32(hdr + 16, static_cast<std::uint32_t>(sections_));
   put32(hdr + 20, 0);  // reserved
-  put64(hdr + 24, checksum(payload_.data(), payload_.size()));
+  put64(hdr + 24, checksum_);
 
   // Temp + rename: a reader (possibly in another process of a parallel
   // sweep) must only ever see a complete checkpoint under `path`. The temp
@@ -147,12 +192,15 @@ bool StateWriter::writeTo(const std::string& path, std::string& err) const {
   // this is a crash-recovery feature, so a power loss right after the
   // rename must not leave the only checkpoint as unflushed page cache —
   // the old file is only given up once the new bytes are durable.
-  const bool wrote =
-      std::fwrite(hdr, 1, sizeof hdr, f) == sizeof hdr &&
-      std::fwrite(payload_.data(), 1, payload_.size(), f) == payload_.size() &&
-      std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  if (std::fclose(f) != 0 || !wrote) {
-    err = "short write to '" + tmp + "'";
+  const std::string short_write = "short write to '" + tmp + "'";
+  std::string fail = std::fwrite(hdr, 1, sizeof hdr, f) == sizeof hdr
+                         ? copySpoolTo(f, short_write)
+                         : short_write;
+  if (fail.empty() && (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0))
+    fail = short_write;
+  if (std::fclose(f) != 0 && fail.empty()) fail = short_write;
+  if (!fail.empty()) {
+    err = fail;
     std::remove(tmp.c_str());
     return false;
   }

@@ -10,9 +10,13 @@
 // strict: magic, version, size-vs-header and checksum mismatches are hard
 // errors at open, never a silently partial restore.
 //
-// The container is a flat sequence of named sections. StateWriter builds
-// the payload in memory (beginSection/endSection around each component's
-// saveState) and writes the file atomically (temp + rename) on writeTo().
+// The container is a flat sequence of named sections. StateWriter holds
+// only the open section in memory (beginSection/endSection around each
+// component's saveState): endSection folds the section into the payload
+// checksum and appends it to an unlinked spool file (std::tmpfile(), in the
+// C library's temp directory, /tmp with glibc), so a writer's memory is
+// bounded by its largest section, not by the payload. writeTo() writes the
+// header and copies the spool into the file atomically (temp + rename).
 // StateReader validates the whole file at construction and then serves
 // sections by name; reading past a section's end or leaving a section
 // half-consumed aborts — a save/load order mismatch must fail loudly at
@@ -20,6 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,21 +63,39 @@ class StateWriter {
 
   /// Finalize and write the checkpoint to `path` via a temp file + rename,
   /// so a concurrently restoring reader never sees a half-written file.
-  /// Returns false with a message in `err` on I/O failure.
+  /// Returns false with a message in `err` on I/O failure, including any
+  /// earlier failure to spool a section.
   [[nodiscard]] bool writeTo(const std::string& path, std::string& err) const;
 
   [[nodiscard]] std::size_t sectionCount() const { return sections_; }
 
  private:
-  binio::ByteWriter& body();  ///< payload_, asserting a section is open
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
+  binio::ByteWriter& body();  ///< section_, asserting a section is open
+  /// Fold a closed section into the checksum and append it to the spool.
+  void spool(const std::uint8_t* p, std::size_t n);
+  /// Copy the spooled payload to `out`; an empty string on success, else
+  /// the failure (`short_write` when writing `out` failed).
+  [[nodiscard]] std::string copySpoolTo(std::FILE* out,
+                                        const std::string& short_write) const;
 
   std::uint32_t magic_;
   std::uint32_t version_;
-  binio::ByteWriter payload_;
+  /// The open section: inline header, then body. Cleared (capacity kept)
+  /// once it is spooled.
+  binio::ByteWriter section_;
+  /// Every closed section, in order; created at the first endSection.
+  std::unique_ptr<std::FILE, FileCloser> spool_;
+  std::uint64_t payload_bytes_ = 0;            ///< bytes spooled so far
+  std::uint64_t checksum_ = binio::kFnvOffset;  ///< FNV-1a over those bytes
+  std::string spool_error_;  ///< the first spool failure; sticky
   std::vector<std::string> names_;  ///< for the uniqueness check
   std::size_t sections_ = 0;
-  /// Offset of the open section's body-length field; npos-like sentinel
-  /// when no section is open.
+  /// Offset of the open section's body-length field within section_;
+  /// npos-like sentinel when no section is open.
   std::size_t open_len_at_ = kNone;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 };

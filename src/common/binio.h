@@ -111,6 +111,9 @@ class ByteWriter {
     put64(buf_.data() + at, v);
   }
 
+  /// Drop everything written; the buffer keeps its capacity for reuse.
+  void clear() { buf_.clear(); }
+
   [[nodiscard]] const std::uint8_t* data() const { return buf_.data(); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   /// FNV-1a over everything written — a binding hash over an encoding.

@@ -1,6 +1,9 @@
 #include "core/event_queue.h"
 
+#include <cstdio>
+
 #include "ckpt/state_io.h"
+#include "common/check.h"
 
 namespace malec::core {
 
@@ -23,7 +26,17 @@ void EventQueue::saveState(ckpt::StateWriter& w) const {
 
 void EventQueue::loadState(ckpt::StateReader& r) {
   for (std::vector<Event>& b : buckets_) b.clear();
+  // A forged count must fail here, naming the count: each event is two
+  // u64s, so the section's bytes left bound it.
   const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 16) {
+    char msg[128];
+    std::snprintf(msg, sizeof msg,
+                  "event queue count %llu exceeds the %zu bytes left in its "
+                  "section",
+                  static_cast<unsigned long long>(n), r.remaining());
+    MALEC_CHECK_MSG(false, msg);
+  }
   size_ = static_cast<std::size_t>(n);
   next_ = 0;
   for (std::uint64_t i = 0; i < n; ++i) {

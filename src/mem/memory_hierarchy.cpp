@@ -1,6 +1,7 @@
 #include "mem/memory_hierarchy.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -111,7 +112,17 @@ void MemoryHierarchy::saveState(ckpt::StateWriter& w) const {
 
 void MemoryHierarchy::loadState(ckpt::StateReader& r) {
   pending_.clear();
+  // A forged count must fail here, naming the count: each outstanding miss
+  // is two u64s and a u8, so the section's bytes left bound it.
   const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 17) {
+    char msg[128];
+    std::snprintf(msg, sizeof msg,
+                  "outstanding-miss count %llu exceeds the %zu bytes left in "
+                  "its section",
+                  static_cast<unsigned long long>(n), r.remaining());
+    MALEC_CHECK_MSG(false, msg);
+  }
   for (std::uint64_t i = 0; i < n; ++i) {
     const Addr line = r.u64();
     const Cycle ready = r.u64();

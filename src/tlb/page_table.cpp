@@ -1,6 +1,7 @@
 #include "tlb/page_table.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -62,12 +63,41 @@ void PageTable::saveState(ckpt::StateWriter& w) const {
 void PageTable::loadState(ckpt::StateReader& r) {
   map_.clear();
   used_.clear();
+  // A forged count must fail here, naming the count: each mapping is two
+  // u32s, so the section's bytes left bound it.
   const std::uint64_t n = r.u64();
+  char msg[128];
+  if (n > r.remaining() / 8) {
+    std::snprintf(msg, sizeof msg,
+                  "page-table mapping count %llu exceeds the %zu bytes left "
+                  "in its section",
+                  static_cast<unsigned long long>(n), r.remaining());
+    MALEC_CHECK_MSG(false, msg);
+  }
+  // translate() hands out distinct frames until every frame is taken, so
+  // a frame repeats only in a table holding more pages than frames.
+  const bool shared_frames = n > phys_pages_;
   for (std::uint64_t i = 0; i < n; ++i) {
     const PageId vpage = r.u32();
     const PageId ppage = r.u32();
-    map_.emplace(vpage, ppage);
-    used_.insert(ppage);
+    if (ppage >= phys_pages_) {
+      std::snprintf(msg, sizeof msg,
+                    "page-table frame %u is outside the %u physical pages",
+                    ppage, phys_pages_);
+      MALEC_CHECK_MSG(false, msg);
+    }
+    if (!map_.emplace(vpage, ppage).second) {
+      std::snprintf(msg, sizeof msg,
+                    "page-table virtual page %u is mapped twice", vpage);
+      MALEC_CHECK_MSG(false, msg);
+    }
+    if (!used_.insert(ppage).second && !shared_frames) {
+      std::snprintf(msg, sizeof msg,
+                    "page-table frame %u is mapped twice in a table of %llu "
+                    "pages and %u frames",
+                    ppage, static_cast<unsigned long long>(n), phys_pages_);
+      MALEC_CHECK_MSG(false, msg);
+    }
   }
   walks_ = r.u64();
 }

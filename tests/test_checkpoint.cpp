@@ -9,21 +9,29 @@
 // are all hard errors.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ckpt/state_io.h"
 #include "common/binio.h"
+#include "core/event_queue.h"
+#include "mem/memory_hierarchy.h"
 #include "sim/differential.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "sim/registry.h"
+#include "tlb/page_table.h"
 #include "trace/workloads.h"
 #include "waydet/segmented_wt.h"
 
@@ -174,6 +182,169 @@ TEST(StateIo, WriteReapsStaleTempsButSparesLiveWriters) {
   EXPECT_TRUE(std::filesystem::exists(live));
   std::remove(live.c_str());
   std::remove(path.c_str());
+}
+
+// --- StateWriter's container bytes, memory bound and failure path ----------
+
+// The whole file of a three-section checkpoint, one section empty, built
+// by hand from docs/FILE_FORMATS.md: the header, then each section inline.
+TEST(StateIo, ContainerKnownAnswerBytes) {
+  const std::string path = tmpPath("kat.mckpt");
+  ckpt::StateWriter w;
+  w.beginSection("a");
+  w.u32(0x01020304);
+  w.endSection();
+  w.beginSection("empty");
+  w.endSection();
+  w.beginSection("bc");
+  w.u8(0xAB);
+  w.str("xy");
+  w.endSection();
+  std::string err;
+  ASSERT_TRUE(w.writeTo(path, err)) << err;
+
+  const std::vector<std::uint8_t> want = {
+      0x50, 0x4B, 0x43, 0x4D,                          // magic "MCKP"
+      0x01, 0x00, 0x00, 0x00,                          // version 1
+      0x3B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload bytes: 59
+      0x03, 0x00, 0x00, 0x00,                          // section count
+      0x00, 0x00, 0x00, 0x00,                          // reserved
+      0xCB, 0x5E, 0x56, 0x82, 0xE0, 0xEA, 0xFE, 0xFD,  // FNV-1a of the payload
+      // section "a": name length, name, body length, u32 body
+      0x01, 0x00, 0x00, 0x00, 'a',
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x04, 0x03, 0x02, 0x01,
+      // section "empty": no body
+      0x05, 0x00, 0x00, 0x00, 'e', 'm', 'p', 't', 'y',
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // section "bc": u8, then a str with its u64 length
+      0x02, 0x00, 0x00, 0x00, 'b', 'c',
+      0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xAB,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 'x', 'y'};
+  std::vector<std::uint8_t> got;
+  {
+    std::ifstream in(path, std::ios::binary);
+    got.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  EXPECT_EQ(got, want);
+  std::remove(path.c_str());
+}
+
+/// Peak resident set of this process (VmHWM) in KiB; -1 when unknown.
+long peakRssKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      std::istringstream fields(line.substr(6));
+      long kib = -1;
+      fields >> kib;
+      return kib;
+    }
+  }
+  return -1;
+}
+
+// StateWriter holds only the open section: writing 64 MiB of checkpoint in
+// 1 MiB sections must not raise the peak RSS by more than a few sections.
+// Run in a child process so the parent's earlier peaks cannot hide growth.
+TEST(StateIoDeathTest, WriterPeakMemoryStaysNearOneSection) {
+  if (peakRssKiB() < 0) GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  const std::string path = tmpPath("rss.mckpt");
+  const auto writeAndMeasure = [&path] {
+    constexpr std::size_t kMiB = std::size_t{1} << 20;
+    const std::vector<std::uint8_t> chunk(kMiB, 0x5A);
+    ckpt::StateWriter w;
+    const long before = peakRssKiB();
+    for (int s = 0; s < 64; ++s) {
+      char name[8];
+      std::snprintf(name, sizeof name, "s%02d", s);
+      w.beginSection(name);
+      w.bytes(chunk.data(), chunk.size());
+      w.endSection();
+    }
+    std::string err;
+    const bool wrote = w.writeTo(path, err);
+    const long grew = peakRssKiB() - before;
+    std::remove(path.c_str());
+    std::fprintf(stderr, "wrote=%d VmHWM grew by %ld KiB %s\n", wrote ? 1 : 0,
+                 grew, err.c_str());
+    std::exit(wrote && grew < 8 * 1024 ? 0 : 1);
+  };
+  EXPECT_EXIT(writeAndMeasure(), ::testing::ExitedWithCode(0),
+              "wrote=1 VmHWM grew by");
+}
+
+/// This process's open file descriptors as "fd -> target" (empty when
+/// /proc is absent), leaving out the one that lists them.
+std::vector<std::string> openFds() {
+  std::vector<std::string> fds;
+  std::error_code ec;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd", ec)) {
+    const std::string target =
+        std::filesystem::read_symlink(e.path(), ec).string();
+    if (ec || target.rfind("/proc/", 0) == 0) continue;
+    fds.push_back(e.path().filename().string() + " -> " + target);
+  }
+  std::sort(fds.begin(), fds.end());
+  return fds;
+}
+
+TEST(StateIo, WriteIntoMissingDirectoryFailsAndLeavesNothing) {
+  const std::vector<std::string> fds_before = openFds();
+  if (fds_before.empty()) GTEST_SKIP() << "no /proc/self/fd";
+  const std::string dir = tmpPath("no_such_dir");
+  std::filesystem::remove_all(dir);
+  {
+    ckpt::StateWriter w;
+    w.beginSection("s");
+    w.u64(1);
+    w.endSection();
+    // The spool is one extra descriptor, and it is already unlinked.
+    const std::vector<std::string> fds_open = openFds();
+    std::vector<std::string> added;
+    std::set_difference(fds_open.begin(), fds_open.end(), fds_before.begin(),
+                        fds_before.end(), std::back_inserter(added));
+    ASSERT_EQ(added.size(), 1u);
+    EXPECT_NE(added[0].find("(deleted)"), std::string::npos) << added[0];
+
+    std::string err;
+    EXPECT_FALSE(w.writeTo(dir + "/x.mckpt", err));
+    EXPECT_NE(err.find("no_such_dir/x.mckpt.tmp."), std::string::npos) << err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  // Closing the writer released the spool.
+  EXPECT_EQ(openFds(), fds_before);
+}
+
+// A spool append that fails (here: the file-size limit) is sticky: later
+// sections are dropped and writeTo reports the first failure.
+TEST(StateIoDeathTest, SpoolFailureIsStickyAndReported) {
+  const std::string path = tmpPath("fsize.mckpt");
+  const auto writeOverLimit = [&path] {
+    std::signal(SIGXFSZ, SIG_IGN);  // fail the write with EFBIG instead
+    const rlimit lim{rlim_t{1} << 20, rlim_t{1} << 20};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) std::exit(2);
+    const std::vector<std::uint8_t> chunk(std::size_t{3} << 19, 0x5A);
+    ckpt::StateWriter w;
+    for (const char* name : {"one", "two", "three"}) {
+      w.beginSection(name);
+      w.bytes(chunk.data(), chunk.size());
+      w.endSection();
+    }
+    std::string err;
+    const bool wrote = w.writeTo(path, err);
+    const bool left = std::filesystem::exists(path);
+    std::fprintf(stderr, "wrote=%d left=%d %s\n", wrote ? 1 : 0, left ? 1 : 0,
+                 err.c_str());
+    std::exit(0);
+  };
+  EXPECT_EXIT(writeOverLimit(), ::testing::ExitedWithCode(0),
+              "wrote=0 left=0 cannot write '.*fsize.mckpt': cannot append to "
+              "the checkpoint spool file");
 }
 
 // --- the shared byte codec under every StateIO file --------------------------
@@ -518,6 +689,130 @@ TEST(CheckpointDeathTest, ForgedSegmentedWtCodeCountAbortsBeforeAllocating) {
   EXPECT_DEATH(b.loadState(r),
                "segmented-WT chunk code count 1099511627776, this geometry "
                "holds 8");
+  std::remove(path.c_str());
+}
+
+/// Write `c`'s state as the one section `name` of a checkpoint at `path`
+/// and return the file's bytes.
+template <class Component>
+std::vector<std::uint8_t> saveOneSection(const std::string& path,
+                                         const char* name,
+                                         const Component& c) {
+  ckpt::StateWriter w;
+  w.beginSection(name);
+  c.saveState(w);
+  w.endSection();
+  std::string err;
+  EXPECT_TRUE(w.writeTo(path, err)) << err;
+  return readBytes(path);
+}
+
+/// Forge the u64 at `offset` into section `name`'s body of the checkpoint
+/// `file` and reseal it at `path`.
+void forgeInSection(const std::string& path,
+                    const std::vector<std::uint8_t>& file, const char* name,
+                    std::size_t offset, std::uint64_t value) {
+  const std::size_t at = sectionBodyAt(file, name);
+  ASSERT_NE(at, 0u) << "no " << name << " section";
+  forgeU64AndReseal(path, file, at + offset, value);
+}
+
+// Every count a loadState loops on is bounded by the section's bytes left,
+// and a forged one is refused by name — not as a read past the section end.
+TEST(CheckpointDeathTest, ForgedEventQueueCountAbortsAtTheCount) {
+  const std::string path = tmpPath("forgedeq.mckpt");
+  core::EventQueue q;
+  q.push(5, 1);
+  q.push(9, 2);
+  const auto file = saveOneSection(path, "eq", q);
+  forgeInSection(path, file, "eq", 0, std::uint64_t{1} << 40);
+  ckpt::StateReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("eq");
+  core::EventQueue restored;
+  EXPECT_DEATH(restored.loadState(r),
+               "event queue count 1099511627776 exceeds the 32 bytes left");
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointDeathTest, ForgedOutstandingMissCountAbortsAtTheCount) {
+  const std::string path = tmpPath("forgedmh.mckpt");
+  mem::L1Cache l1{mem::L1Cache::Params{}};
+  mem::L2Cache l2{mem::L2Cache::Params{}};
+  mem::MemoryHierarchy hier{l1, l2, mem::MemoryHierarchy::Params{}};
+  (void)hier.missAccess(0x1000, 0, false);
+  const auto file = saveOneSection(path, "mem", hier);
+  forgeInSection(path, file, "mem", 0, std::uint64_t{1} << 40);
+  ckpt::StateReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("mem");
+  EXPECT_DEATH(hier.loadState(r),
+               "outstanding-miss count 1099511627776 exceeds the 49 bytes "
+               "left");
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointDeathTest, ForgedPageTableCountAbortsAtTheCount) {
+  const std::string path = tmpPath("forgedpt.mckpt");
+  tlb::PageTable pt;
+  for (PageId v = 0; v < 3; ++v) (void)pt.translate(v * 7);
+  const auto file = saveOneSection(path, "pt", pt);
+  forgeInSection(path, file, "pt", 0, std::uint64_t{1} << 40);
+  ckpt::StateReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("pt");
+  tlb::PageTable restored;
+  EXPECT_DEATH(restored.loadState(r),
+               "page-table mapping count 1099511627776 exceeds the 32 bytes "
+               "left");
+  std::remove(path.c_str());
+}
+
+// PageTable entries are sorted (vpage, ppage) u32 pairs after the u64
+// count; forging the second pair from the first's halves repeats a page,
+// and a frame past the table's frame count is refused too.
+TEST(CheckpointDeathTest, RepeatedOrOutOfRangePageTableMappingsAbort) {
+  const std::string path = tmpPath("duppt.mckpt");
+  tlb::PageTable pt;
+  const PageId p0 = pt.translate(10);
+  const PageId p1 = pt.translate(20);
+  const auto file = saveOneSection(path, "pt", pt);
+  const auto pair = [](PageId v, PageId p) {
+    return static_cast<std::uint64_t>(v) | static_cast<std::uint64_t>(p) << 32;
+  };
+  const auto expectRefused = [&](std::uint64_t second_pair, const char* why) {
+    forgeInSection(path, file, "pt", 16, second_pair);
+    ckpt::StateReader r(path);
+    ASSERT_TRUE(r.ok()) << r.error();
+    r.openSection("pt");
+    tlb::PageTable restored;
+    EXPECT_DEATH(restored.loadState(r), why);
+  };
+  expectRefused(pair(10, p1), "page-table virtual page 10 is mapped twice");
+  expectRefused(pair(20, p0),
+                "page-table frame [0-9]+ is mapped twice in a table of 2 "
+                "pages");
+  expectRefused(pair(20, 65536),
+                "page-table frame 65536 is outside the 65536 physical pages");
+  std::remove(path.c_str());
+}
+
+// More pages than frames is the one state where translate() shares frames;
+// such a table must still restore.
+TEST(Checkpoint, OversubscribedPageTableRoundTrips) {
+  const std::string path = tmpPath("overpt.mckpt");
+  tlb::PageTable pt(4);
+  for (PageId v = 0; v < 7; ++v) (void)pt.translate(v);
+  (void)saveOneSection(path, "pt", pt);
+  tlb::PageTable restored(4);
+  ckpt::StateReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  r.openSection("pt");
+  restored.loadState(r);
+  r.endSection();
+  EXPECT_EQ(restored.walks(), pt.walks());
+  for (PageId v = 0; v < 7; ++v) EXPECT_EQ(restored.translate(v), pt.translate(v));
+  EXPECT_EQ(restored.walks(), pt.walks());
   std::remove(path.c_str());
 }
 
